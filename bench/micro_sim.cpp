@@ -26,17 +26,45 @@ namespace {
 
 using namespace ccc;
 
+/// The scheduler chain: one self-rescheduling event, +1 us per hop, on the
+/// fire-and-forget member form the simulator's periodic ticks use. With
+/// `churn` set, every hop also cancels the previous cancellable 200 ms
+/// member timer and arms a new one — TcpSender's RTO shape, which piles
+/// cancelled records into the wheel and exercises slab reuse + sweeping.
+struct ChainDriver {
+  sim::Scheduler& sched;
+  int events;
+  bool churn;
+  int count{0};
+  sim::EventId rto{0};
+  void on_rto() {}
+  void tick() {
+    if (churn) {
+      sched.cancel(rto);  // "ACK arrived": disarm the previous timer
+      rto = sched.schedule_member_after<&ChainDriver::on_rto>(Time::ms(200), this);
+    }
+    if (++count < events) sched.schedule_member_fire_after<&ChainDriver::tick>(Time::us(1), this);
+  }
+};
+
+/// Runs one `events`-hop chain; returns the wall time of the run and stores
+/// the number of events the scheduler executed.
+double run_chain(int events, bool churn, std::uint64_t& executed) {
+  sim::Scheduler sched;
+  ChainDriver d{sched, events, churn};
+  sched.schedule_member_fire_at<&ChainDriver::tick>(Time::zero(), &d);
+  const auto t0 = std::chrono::steady_clock::now();
+  sched.run_until(Time::sec(10.0));
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+  executed = sched.events_executed();
+  return wall.count();
+}
+
 void BM_SchedulerChain(benchmark::State& state) {
   // Measures raw event dispatch: a single self-rescheduling event.
   for (auto _ : state) {
-    sim::Scheduler sched;
-    int count = 0;
-    std::function<void()> tick = [&] {
-      if (++count < 10000) sched.schedule_after(Time::us(1), tick);
-    };
-    sched.schedule_at(Time::zero(), tick);
-    sched.run_until(Time::sec(1.0));
-    benchmark::DoNotOptimize(count);
+    std::uint64_t events = 0;
+    benchmark::DoNotOptimize(run_chain(10000, /*churn=*/false, events));
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
@@ -87,35 +115,29 @@ BENCHMARK(BM_EndToEndFlowSecond);
 
 void BM_SchedulerTimerChurn(benchmark::State& state) {
   // The retransmission-timer pattern: every event re-arms a far-future
-  // timer and cancels the previous one, so cancelled entries pile up in the
-  // heap. Exercises slab reuse + compaction.
+  // timer and cancels the previous one.
   for (auto _ : state) {
-    sim::Scheduler sched;
-    int count = 0;
-    sim::EventId rto = 0;
-    std::function<void()> tick = [&] {
-      sched.cancel(rto);  // "ACK arrived": disarm the previous timer
-      rto = sched.schedule_after(Time::ms(200), [] {});
-      if (++count < 10000) sched.schedule_after(Time::us(1), tick);
-    };
-    sched.schedule_at(Time::zero(), tick);
-    sched.run_until(Time::sec(1.0));
-    benchmark::DoNotOptimize(count);
+    std::uint64_t events = 0;
+    benchmark::DoNotOptimize(run_chain(10000, /*churn=*/true, events));
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SchedulerTimerChurn);
 
 // ----------------------------------------------------------------------
-// Typed-event per-shape scopes. Three canonical hot-path shapes, expressed
-// through the typed API (schedule_member_fire / schedule_call / the delivery
-// batches of event engine v3) exactly as the simulator's own components use
-// it, so these numbers move when the engine moves:
-//   sim_delivery     packet delivery chain through a SoA delivery batch —
-//                    the production Link propagation path
-//   sim_timer_churn  RTO pattern: every tick cancels + re-arms a far timer
-//   sim_mixed_chain  both at once plus a 10 ms in-flight delivery window
-//                    (the shape that punishes a heap-only scheduler)
+// Headline scopes, each driving the scheduler through the forms the
+// simulator's own components use (schedule_member_fire, the cancellable
+// schedule_member/schedule_call timers, the delivery batches), so these
+// numbers move when the engine moves:
+//   scheduler_chain        fire-and-forget self-chain (run_chain)
+//   scheduler_timer_churn  the chain plus RTO churn (run_chain, churn)
+//   sim_delivery           packet delivery chain through a SoA delivery
+//                          batch — the production Link propagation path
+//   sim_timer_churn        RTO churn; the same driver as
+//                          scheduler_timer_churn, kept under its own scope
+//                          for BENCH_sim.json's history
+//   sim_mixed_chain        RTO churn plus a 10 ms in-flight delivery window
+//                          (the shape that punishes a heap-only scheduler)
 
 constexpr int kShapeEvents = 2'000'000;
 
@@ -126,8 +148,7 @@ struct ShapeCountSink : sim::PacketSink {
 };
 
 /// Delivery-only: a relay sink behind a delivery batch (the path Link's
-/// propagation pipe takes since event engine v3) that re-schedules each
-/// packet +1us. The whole chain drains inside bulk batch dispatches — one
+/// propagation pipe takes) that re-schedules each packet +1us. The whole chain drains inside bulk batch dispatches — one
 /// pop_next for the lot — instead of one heap round-trip per packet.
 struct ShapeRelay : sim::PacketSink {
   sim::Scheduler& sched;
@@ -153,28 +174,12 @@ double run_sim_delivery(std::uint64_t& events) {
   return wall.count();
 }
 
-struct ShapeChurnDriver {
-  sim::Scheduler& sched;
-  int count{0};
-  sim::EventId rto{0};
-  void tick() {
-    sched.cancel(rto);  // "ACK arrived": disarm the previous timer
-    rto = sched.schedule_call_after(Time::ms(200), [](void*, std::uint64_t) {}, nullptr);
-    if (++count < kShapeEvents) {
-      sched.schedule_member_fire_after<&ShapeChurnDriver::tick>(Time::us(1), this);
-    }
-  }
-};
+double run_scheduler_chain(std::uint64_t& events) {
+  return run_chain(kShapeEvents, /*churn=*/false, events);
+}
 
-double run_sim_timer_churn(std::uint64_t& events) {
-  sim::Scheduler sched;
-  ShapeChurnDriver d{sched};
-  const auto t0 = std::chrono::steady_clock::now();
-  sched.schedule_member_fire_at<&ShapeChurnDriver::tick>(Time::zero(), &d);
-  sched.run_until(Time::sec(10.0));
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
-  events = sched.events_executed();
-  return wall.count();
+double run_timer_churn(std::uint64_t& events) {
+  return run_chain(kShapeEvents, /*churn=*/true, events);
 }
 
 struct ShapeMixedDriver {
@@ -235,44 +240,6 @@ void report_shape(const char* name, double (*run)(std::uint64_t&), std::size_t r
   report.add_scalar(name, "events_per_sec", eps);
 }
 
-/// Wall-clock events/sec on the raw dispatch path, printed as JSON and
-/// mirrored into the machine-readable RunReport (--report).
-void report_events_per_sec(const char* name, bool churn, std::size_t repeat, std::ostream& os,
-                           telemetry::RunReport& report) {
-  constexpr int kEvents = 2'000'000;
-  std::uint64_t events = 0;
-  auto one_run = [&] {
-    sim::Scheduler sched;
-    int count = 0;
-    sim::EventId rto = 0;
-    std::function<void()> tick = [&] {
-      if (churn) {
-        sched.cancel(rto);
-        rto = sched.schedule_after(Time::ms(200), [] {});
-      }
-      if (++count < kEvents) sched.schedule_after(Time::us(1), tick);
-    };
-    sched.schedule_at(Time::zero(), tick);
-    const auto t0 = std::chrono::steady_clock::now();
-    sched.run_until(Time::sec(10.0));
-    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
-    events = sched.events_executed();
-    return wall.count();
-  };
-  double wall = one_run();
-  for (std::size_t r = 1; r < repeat; ++r) wall = std::min(wall, one_run());
-  const double eps = static_cast<double>(events) / wall;
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "{\"bench\": \"%s\", \"events\": %llu, \"wall_sec\": %.4f, "
-                "\"events_per_sec\": %.0f}\n",
-                name, static_cast<unsigned long long>(events), wall, eps);
-  os << line;
-  report.add_scalar(name, "events", static_cast<double>(events));
-  report.add_scalar(name, "wall_sec", wall);
-  report.add_scalar(name, "events_per_sec", eps);
-}
-
 }  // namespace
 
 /// The bench body; main() below routes uncaught errors through the shared
@@ -295,10 +262,10 @@ int run_bench(int argc, char** argv) {
   // to run from the shell into the bench itself: one process, one report.
   const std::size_t repeat = cli.repeat_or(3);
   telemetry::RunReport report{"micro_sim", 0};
-  report_events_per_sec("scheduler_chain", /*churn=*/false, repeat, os, report);
-  report_events_per_sec("scheduler_timer_churn", /*churn=*/true, repeat, os, report);
+  report_shape("scheduler_chain", run_scheduler_chain, repeat, os, report);
+  report_shape("scheduler_timer_churn", run_timer_churn, repeat, os, report);
   report_shape("sim_delivery", run_sim_delivery, repeat, os, report);
-  report_shape("sim_timer_churn", run_sim_timer_churn, repeat, os, report);
+  report_shape("sim_timer_churn", run_timer_churn, repeat, os, report);
   report_shape("sim_mixed_chain", run_sim_mixed_chain, repeat, os, report);
   if (!report.emit(cli.report)) {
     std::cerr << "micro_sim: cannot write --report file '" << cli.report << "'\n";

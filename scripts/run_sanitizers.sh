@@ -5,11 +5,12 @@
 #          (the concurrency tests: runner pool, telemetry merge, the
 #          jobs-1-vs-jobs-8 pipeline determinism pin)
 #
-#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic"
+#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim"
 #          (the corrupt-input suites: the corruption matrix, faultfs drills,
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
-#          it shows up as a wrong answer)
+#          it shows up as a wrong answer — plus the event engine's suites,
+#          whose wheel/ready/batch index arithmetic fails the same way)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.
@@ -30,10 +31,10 @@ run_job() {
 
 case "${which}" in
   tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic" ;;
+  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim" ;;
   all)
     run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic"
+    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim"
     ;;
   *)
     echo "usage: $0 [tsan|asan|all]" >&2

@@ -138,7 +138,7 @@ void Link::on_tx_complete(std::uint64_t packed) {
 
   // Propagation: the packet arrives at the destination prop_delay later.
   // Ownership of the arena slot moves into the link's delivery batch — no
-  // copy, no per-packet scheduler entry (event engine v3).
+  // copy, no per-packet scheduler entry.
   sched_.schedule_deliver_batch_handle_after(prop_delay_, batch_, h);
 
   maybe_start_tx();

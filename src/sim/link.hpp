@@ -89,8 +89,9 @@ class Link {
   Rate rate_;
   Time prop_delay_;
   std::unique_ptr<Qdisc> qdisc_;
-  /// The propagation pipe's SoA in-flight batch (event engine v3): arrival
-  /// times are tx-complete time + a fixed prop_delay_, hence monotonic.
+  /// The propagation pipe's SoA in-flight batch: arrival times are
+  /// tx-complete time + a fixed prop_delay_, hence monotonic — the batch's
+  /// append precondition.
   Scheduler::BatchId batch_;
   bool busy_{false};
   EventId wake_event_{0};
@@ -121,10 +122,10 @@ class DelayLine : public PacketSink {
       : sched_{sched}, delay_{delay}, batch_{sched.register_delivery_batch(dst)} {}
 
   void deliver(const Packet& pkt) override {
-    // The in-flight record rides in the delay line's SoA batch (event engine
-    // v3): no per-packet scheduler entry, and a same-time arrival run reaches
-    // the destination as one deliver_batch() call. Fixed delay + monotonic
-    // clock keeps the batch's append order time-sorted.
+    // The in-flight record rides in the delay line's SoA batch: no
+    // per-packet scheduler entry, and a same-time arrival run reaches the
+    // destination as one deliver_batch() call. Fixed delay + monotonic clock
+    // keeps the batch's append order time-sorted, as the batch requires.
     sched_.schedule_deliver_batch_after(delay_, batch_, pkt);
   }
 

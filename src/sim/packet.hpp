@@ -77,9 +77,9 @@ class PacketSink {
   virtual ~PacketSink() = default;
   virtual void deliver(const Packet& pkt) = 0;
 
-  /// Bulk hook for a same-time delivery run (event engine v3): the scheduler
-  /// hands over every packet a delivery batch has due at one instant in one
-  /// call, in (time, seq) order. The default preserves per-packet semantics
+  /// Bulk hook for a same-time delivery run: the scheduler hands over every
+  /// packet a delivery batch has due at one instant in one call, in
+  /// (time, seq) order. The default preserves per-packet semantics
   /// exactly; sinks on hot paths override it to touch their state once per
   /// run instead of once per packet.
   virtual void deliver_batch(const Packet* const* pkts, std::size_t n) {

@@ -1,12 +1,10 @@
 // PacketPool — an arena for packets that are "on the wire".
 //
 // The event engine's delivery path (Link serialization, propagation,
-// DelayLine pipes) used to round-trip every packet through std::function
-// closures: each hop copied the ~170-byte Packet into a heap-allocated
-// capture, then copied it again into the next hop's capture. The pool
-// replaces that with one slab-resident copy per wire traversal: the sender
-// acquires a handle, the typed deliver event carries the 4-byte handle, and
-// the scheduler hands sinks a reference into the slab.
+// DelayLine pipes) keeps one slab-resident copy of each packet per wire
+// traversal: the sender acquires a handle, the delivery batch (or Link's
+// tx-complete event) carries the 4-byte handle, and the scheduler hands
+// sinks a reference into the slab.
 //
 // Storage is a std::deque so slots never move: a sink reading the delivered
 // packet may itself acquire new handles (an ACK turned around into a reverse

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <utility>
 
 namespace ccc::sim {
 
@@ -32,23 +31,8 @@ std::uint32_t Scheduler::acquire_slot() {
   return slot;
 }
 
-std::function<void()> Scheduler::release_slot(std::uint32_t slot) {
+void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  std::function<void()> fn;
-  if (s.fn) {  // kCall slots never set fn; skip the type-erased move for them
-    fn = std::move(s.fn);
-    s.fn = nullptr;  // drop the moved-from shell so captures are destroyed
-  }
-  s.armed = false;
-  ++s.gen;
-  free_slots_.push_back(slot);
-  --live_;
-  return fn;
-}
-
-void Scheduler::release_slot_discard(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.fn) s.fn = nullptr;  // a cancelled closure's captures die here
   s.armed = false;
   ++s.gen;
   free_slots_.push_back(slot);
@@ -64,10 +48,9 @@ void Scheduler::push_heap_entry(const Entry& e) {
 void Scheduler::place(const Entry& e) {
   // Every far-enough event goes through a bucket: cancellable events because
   // a cancelled bucket entry dies in place without touching the heap, and
-  // deliveries (slot == kNoSlot) because parking a bandwidth-delay window of
-  // in-flight packets in buckets keeps the binary heap down to the current
-  // tick's worth of events — the difference between O(log 10k) and O(log 100)
-  // per operation in a busy dumbbell.
+  // fire-and-forget ones (slot == kNoSlot) because parking far-future
+  // events in buckets keeps the binary heap down to the current tick's worth
+  // of events.
   const std::uint64_t tick = tick_of(e.at);
   const std::uint64_t delta = tick - wheel_tick_;  // at >= now implies tick >= cursor - 1
   if (delta >= kMinWheelTicks && delta < kMaxWheelTicks &&
@@ -92,59 +75,18 @@ void Scheduler::place(const Entry& e) {
   push_heap_entry(e);
 }
 
-EventId Scheduler::schedule_at(Time at, std::function<void()> fn) {
-  assert(at >= now_ && "cannot schedule into the past");
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.slot = slot;
-  e.gen = s.gen;
-  e.kind = Kind::kClosure;
-  place(e);
-  return make_id(slot, s.gen);
-}
-
 EventId Scheduler::schedule_call_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
   assert(at >= now_ && "cannot schedule into the past");
   const std::uint32_t slot = acquire_slot();
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.slot = slot;
-  e.gen = slots_[slot].gen;
-  e.kind = Kind::kCall;
-  e.u.call = {fn, ctx, arg};
-  place(e);
-  return make_id(slot, e.gen);
+  const std::uint32_t gen = slots_[slot].gen;
+  place({at, next_seq_++, slot, gen, fn, ctx, arg});
+  return make_id(slot, gen);
 }
 
 void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
   assert(at >= now_ && "cannot schedule into the past");
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.slot = kNoSlot;
-  e.gen = 0;
-  e.kind = Kind::kCall;
-  e.u.call = {fn, ctx, arg};
   ++live_;
-  place(e);
-}
-
-void Scheduler::schedule_deliver_handle_at(Time at, PacketSink& sink, PacketPool::Handle h) {
-  assert(at >= now_ && "cannot schedule into the past");
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.slot = kNoSlot;
-  e.gen = 0;
-  e.kind = Kind::kDeliver;
-  e.u.deliver = {&sink, h};
-  ++live_;
-  place(e);
+  place({at, next_seq_++, kNoSlot, 0, fn, ctx, arg});
 }
 
 Scheduler::BatchId Scheduler::register_delivery_batch(PacketSink& sink) {
@@ -161,23 +103,16 @@ void Scheduler::rebind_delivery_batch(BatchId id, PacketSink& sink) {
 void Scheduler::schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool::Handle h) {
   assert(at >= now_ && "cannot schedule into the past");
   DeliveryBatch& q = batches_[id];
-  if (q.head == q.at.size()) {
-    if (q.head != 0) {
-      // Empty again: reset the consumed prefix so a steady-state pipe reuses
-      // the same few slots instead of growing the vectors forever.
-      q.at.clear();
-      q.seq.clear();
-      q.handle.clear();
-      q.head = 0;
-    }
-  } else if (at < q.at.back()) {
-    // Out-of-order append: keep [head, size) a sorted run by routing this
-    // delivery through a regular per-event entry. Note the sink is captured
-    // *now* — a later rebind_delivery_batch() won't redirect it; the
-    // monotonic producers (Link, DelayLine) never take this path.
-    schedule_deliver_handle_at(at, *q.sink, h);
-    return;
+  if (q.head != 0 && q.head == q.at.size()) {
+    // Empty again: reset the consumed prefix so a steady-state pipe reuses
+    // the same few slots instead of growing the vectors forever.
+    q.at.clear();
+    q.seq.clear();
+    q.handle.clear();
+    q.head = 0;
   }
+  assert((q.head == q.at.size() || at >= q.at.back()) &&
+         "delivery batch appends must be time-monotonic");
   const std::uint64_t seq = next_seq_++;
   const bool was_empty = q.at.empty();
   q.at.push_back(at);
@@ -226,7 +161,7 @@ void Scheduler::cancel(EventId id) {
   Slot& s = slots_[slot];
   if (!s.armed || s.gen != gen) return;  // already fired/cancelled, or reused
   const std::uint16_t loc = s.loc;
-  release_slot_discard(slot);
+  release_slot(slot);
   // The heap or a wheel bucket still holds this event's entry; it is now
   // stale and will be dropped lazily when popped or cascaded — unless stale
   // entries start to dominate, in which case we compact in place so
@@ -363,7 +298,7 @@ void Scheduler::catch_up_wheel(std::uint64_t target) {
   }
 }
 
-bool Scheduler::pop_next(Entry& out, Time limit) {
+bool Scheduler::pop_next(Entry& out, std::uint32_t& batch, Time limit) {
   for (;;) {
     // Drop stale (cancelled) entries at either front without executing.
     while (!heap_.empty() && !is_live(heap_.front())) {
@@ -411,25 +346,21 @@ bool Scheduler::pop_next(Entry& out, Time limit) {
     const Entry* front =
         have_ready || have_heap ? (take_ready ? &ready_[ready_pos_] : &heap_.front()) : nullptr;
     // Merge the batch minimum's front in by the same (time, seq) key. When it
-    // wins, synthesize a kDeliverBatch dispatch — the queue itself is
-    // consumed by dispatch_batch(), nothing is popped here.
+    // wins, report the batch — the queue itself is consumed by
+    // dispatch_batch(), nothing is popped here.
     if (batch_min_ != kNoBatch) {
       const DeliveryBatch& q = batches_[batch_min_];
       const Time qa = q.at[q.head];
       const std::uint64_t qs = q.seq[q.head];
       if (front == nullptr || qa < front->at || (qa == front->at && qs < front->seq)) {
         if (qa > limit) return false;
-        out.at = qa;
-        out.seq = qs;
-        out.slot = kNoSlot;
-        out.gen = 0;
-        out.kind = Kind::kDeliverBatch;
-        out.u.batch.id = batch_min_;
+        batch = batch_min_;
         return true;
       }
     }
     if (front == nullptr || front->at > limit) return false;
     out = *front;
+    batch = kNoBatch;
     if (take_ready) {
       ++ready_pos_;
     } else {
@@ -444,43 +375,18 @@ void Scheduler::pop_front() {
   heap_.pop_back();
 }
 
-void Scheduler::dispatch(const Entry& e, Time limit) {
-  if (e.kind == Kind::kDeliverBatch) {
-    // Advances the clock and the executed/live counters per delivery itself.
-    dispatch_batch(e.u.batch.id, limit, /*single_step=*/false);
-    return;
-  }
+void Scheduler::fire(const Entry& e) {
   now_ = e.at;
   ++executed_;
-  switch (e.kind) {
-    case Kind::kDeliver: {
-      --live_;
-      const PacketPool::Handle h = e.u.deliver.handle;
-      // The deque-backed pool keeps this reference valid even if the sink
-      // acquires new handles (e.g. an ACK turned around into a send).
-      e.u.deliver.sink->deliver(pool_.get(h));
-      pool_.release(h);
-      break;
-    }
-    case Kind::kCall:
-      if (e.slot != kNoSlot) {
-        release_slot_discard(e.slot);  // before the call: it may re-arm the same timer
-      } else {
-        --live_;  // fire-and-forget: no slot to release
-      }
-      e.u.call.fn(e.u.call.ctx, e.u.call.arg);
-      break;
-    case Kind::kClosure: {
-      auto fn = release_slot(e.slot);  // the callback may reschedule itself
-      fn();
-      break;
-    }
-    case Kind::kDeliverBatch:
-      break;  // handled above
+  if (e.slot != kNoSlot) {
+    release_slot(e.slot);  // before the call: it may re-arm the same timer
+  } else {
+    --live_;  // fire-and-forget: no slot to release
   }
+  e.fn(e.ctx, e.arg);
 }
 
-void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
+void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
   // Which structure owns the current bound. Only a heap-owned bound can be
   // fused (fired inline below); the others hand control back to pop_next.
   enum class Src : std::uint8_t { kLimit, kHeap, kReady, kWheel, kBatch };
@@ -569,8 +475,8 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
       // busy sim deliveries and timers interleave tightly — fire it inline
       // and keep draining: bouncing through pop_next costs more than the
       // event itself. Ready/wheel/other-batch fronts are rarer; hand those
-      // back to pop_next's full merge (and run_one must stop regardless).
-      if (single_step || src != Src::kHeap || heap_.empty()) break;
+      // back to pop_next's full merge.
+      if (src != Src::kHeap || heap_.empty()) break;
       const Entry e = heap_.front();
       if (e.at != bt || e.seq != bs) {
         have_bound = false;  // front changed under us (e.g. a compact)
@@ -583,7 +489,7 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
         continue;
       }
       pop_front();
-      dispatch(e, limit);  // never kDeliverBatch: those are never stored
+      fire(e);
       have_bound = false;  // the callback may have scheduled or consumed
       continue;
     }
@@ -591,9 +497,7 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
     // once the front beats (bt, bs) every same-time element with smaller seq
     // than bs does too — and ties at bs are impossible (seq is unique).
     std::size_t end = begin + 1;
-    if (!single_step) {
-      while (end < q.at.size() && q.at[end] == t && (t < bt || q.seq[end] < bs)) ++end;
-    }
+    while (end < q.at.size() && q.at[end] == t && (t < bt || q.seq[end] < bs)) ++end;
     const std::size_t run = end - begin;
     now_ = t;
     if (wheel_size_ == 0 && tick_of(t) > wheel_tick_) wheel_tick_ = tick_of(t);
@@ -617,27 +521,21 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
       sink->deliver_batch(drain_pkts_.data(), run);
       for (const PacketPool::Handle h : drain_handles_) pool_.release(h);
     }
-    if (single_step) break;
   }
   recompute_batch_min();
 }
 
-bool Scheduler::run_one() {
-  Entry e;
-  if (!pop_next(e, Time::never())) return false;
-  if (e.kind == Kind::kDeliverBatch) {
-    // One event only: deliver exactly the front element, not the whole run.
-    dispatch_batch(e.u.batch.id, Time::never(), /*single_step=*/true);
-    return true;
-  }
-  dispatch(e, Time::never());
-  return true;
-}
-
 void Scheduler::run_until(Time end) {
   assert(end >= now_);
-  Entry e;
-  while (pop_next(e, end)) dispatch(e, end);
+  Entry e{};
+  std::uint32_t batch = kNoBatch;
+  while (pop_next(e, batch, end)) {
+    if (batch == kNoBatch) {
+      fire(e);
+    } else {
+      dispatch_batch(batch, end);
+    }
+  }
   now_ = end;
 }
 

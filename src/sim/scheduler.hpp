@@ -2,52 +2,43 @@
 //
 // The simulator is single threaded and driven entirely by this event queue.
 // Components schedule callbacks at absolute times; ties are broken by
-// insertion order so runs are fully deterministic.
+// insertion order so runs are fully deterministic. See DESIGN.md "Event
+// engine" for the full argument.
 //
-// Event engine v2 (see DESIGN.md "Event engine v2" for the full argument):
-//
-//  * Typed event records. The time-ordered entries carry their payload
-//    inline as a small tagged union — a raw function pointer + context for
-//    timer/wake events (kCall), a sink pointer + PacketPool handle for
-//    packet deliveries (kDeliver), and a slab-resident std::function only as
-//    the generic fallback (kClosure). The common paths (link delivery,
-//    RTO/pacing timers) therefore allocate nothing and dispatch through a
-//    switch, not type erasure.
+//  * Typed events. A stored entry carries a raw function pointer + context
+//    + a 64-bit argument, called as fn(ctx, arg): nothing is allocated and
+//    nothing is type-erased. Cancellable events (schedule_call_*,
+//    schedule_member_*) hold a generation-counted slab slot, so a stale id
+//    never aliases a newer event; fire-and-forget events (schedule_fire_*,
+//    schedule_member_fire_*) skip the slab entirely (slot == kNoSlot).
 //
 //  * A hierarchical timer wheel (4 levels x 64 slots, ~1 ms ticks) sits in
 //    front of the binary heap and absorbs the cancellation-heavy timers:
 //    an RTO that is re-armed on every ACK is pushed into a bucket in O(1)
 //    and, once cancelled, is dropped in place — it never touches the heap.
-//    Entries the cursor reaches spill into the heap *before* their due time,
-//    so all firing still goes through the single (time, seq) heap order and
-//    the FIFO tie-break — and with it bit-identical experiment output — is
-//    preserved exactly.
+//    Entries the cursor reaches spill, sorted, into a ready batch *before*
+//    their due time, and pop_next() merges that batch against the heap by
+//    (time, seq), so the FIFO tie-break — and with it bit-identical
+//    experiment output — is exactly that of a heap-only queue.
 //
-//  * Cancellation still works through the slab: cancellable events hold a
-//    generation-counted slot; a stale id never aliases a newer event.
-//    Fire-and-forget deliveries skip the slab entirely (slot == kNoSlot).
+//  * Per-sink delivery batches. A component whose arrivals are
+//    time-monotonic — a Link's propagation pipe, a DelayLine — registers a
+//    batch and appends its in-flight packets to a struct-of-arrays queue
+//    (parallel arrival-time / seq / arena-handle vectors) instead of pushing
+//    one scheduler entry per packet. The queue *is* a sorted run, so
+//    pop_next() merges its front against the heap/ready/wheel fronts and,
+//    when the batch is globally earliest, dispatch_batch() drains every
+//    delivery up to the next non-batch event — same-time runs go to the
+//    sink as a single deliver_batch() call. Every delivery keeps its unique
+//    (time, seq) key, so the firing order is the one-entry-per-packet order.
 //
 // Cancelled events are lazily dropped when popped or cascaded; if too many
 // accumulate (long-lived retransmission timers that ACKs keep disarming),
 // the heap — or the wheel — is compacted in place so neither grows
 // unboundedly.
-//
-// Event engine v3 adds per-sink delivery batches (see DESIGN.md "Event
-// engine v3"): a component whose arrivals are time-monotonic — a Link's
-// propagation pipe, a DelayLine — registers a batch and appends its
-// in-flight packets to a struct-of-arrays queue (parallel arrival-time /
-// seq / arena-handle vectors) instead of pushing one scheduler entry per
-// packet. The queue *is* a sorted run, so the scheduler merges its front
-// against the heap/ready/wheel fronts in pop_next() and, when the batch is
-// globally earliest, synthesizes one kDeliverBatch dispatch that drains
-// every delivery up to the next non-batch event — same-time runs go to the
-// sink as a single deliver_batch() call. Every delivery keeps its unique
-// (time, seq) key, so the firing order is bit-identical to one-entry-per-
-// packet scheduling; only the bookkeeping is amortized.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/packet.hpp"
@@ -63,7 +54,7 @@ namespace ccc::sim {
 /// event scheduled into the same slot.
 using EventId = std::uint64_t;
 
-/// Payload of a typed (kCall) event: called as fn(ctx, arg). The common
+/// Payload of a scheduled event: called as fn(ctx, arg). The common
 /// timer shape is fn = a captureless-lambda trampoline, ctx = the component,
 /// arg = optional small payload (a PacketPool handle, a bit_cast double).
 using RawCallback = void (*)(void* ctx, std::uint64_t arg);
@@ -77,23 +68,13 @@ class Scheduler {
   /// Current simulated time. Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// The packet arena used by typed deliver events (and by Link for the
-  /// packet currently serializing).
+  /// The packet arena holding in-flight batch deliveries (and, in Link,
+  /// the packet currently serializing).
   [[nodiscard]] PacketPool& packets() { return pool_; }
   [[nodiscard]] const PacketPool& packets() const { return pool_; }
 
-  /// Schedules `fn` to run at absolute time `at` (generic-closure fallback;
-  /// prefer the typed schedule_call/schedule_member forms on hot paths).
-  /// Precondition: at >= now() (the past cannot be scheduled).
-  EventId schedule_at(Time at, std::function<void()> fn);
-
-  /// Schedules `fn` to run `delay` after now.
-  EventId schedule_after(Time delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  /// Typed, allocation-free form: schedules fn(ctx, arg) at `at`.
-  /// Cancellable like any closure event. Precondition: at >= now().
+  /// Schedules fn(ctx, arg) at absolute time `at`; the returned id can
+  /// cancel it. Precondition: at >= now() (the past cannot be scheduled).
   EventId schedule_call_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg = 0);
   EventId schedule_call_after(Time delay, RawCallback fn, void* ctx, std::uint64_t arg = 0) {
     return schedule_call_at(now_ + delay, fn, ctx, arg);
@@ -112,11 +93,11 @@ class Scheduler {
     return schedule_member_at<MemFn>(now_ + delay, obj);
   }
 
-  /// Fire-and-forget typed event: like schedule_call_at but not cancellable,
-  /// so it skips the cancellation slab entirely (no slot, no generation, no
+  /// Fire-and-forget event: like schedule_call_at but not cancellable, so
+  /// it skips the cancellation slab entirely (no slot, no generation, no
   /// EventId). The cheapest way to run a callback later; use it for the many
-  /// timers whose ids are discarded — transmit completions, delay lines,
-  /// periodic self-rescheduling ticks.
+  /// timers whose ids are discarded — transmit completions, workload
+  /// arrivals, periodic self-rescheduling ticks.
   void schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg = 0);
   void schedule_fire_after(Time delay, RawCallback fn, void* ctx, std::uint64_t arg = 0) {
     schedule_fire_at(now_ + delay, fn, ctx, arg);
@@ -133,26 +114,7 @@ class Scheduler {
     schedule_member_fire_at<MemFn>(now_ + delay, obj);
   }
 
-  /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
-  /// `sink` a reference to that copy at time `at`. Not cancellable (nothing
-  /// in the simulator cancels an in-flight packet), which is what lets it
-  /// skip the cancellation slab entirely.
-  void schedule_deliver_at(Time at, PacketSink& sink, const Packet& pkt) {
-    schedule_deliver_handle_at(at, sink, pool_.acquire(pkt));
-  }
-  void schedule_deliver_after(Time delay, PacketSink& sink, const Packet& pkt) {
-    schedule_deliver_at(now_ + delay, sink, pkt);
-  }
-
-  /// As above but transfers ownership of an already-acquired handle — the
-  /// scheduler releases it after delivery. Used by Link to move the packet
-  /// it serialized straight into propagation without another copy.
-  void schedule_deliver_handle_at(Time at, PacketSink& sink, PacketPool::Handle h);
-  void schedule_deliver_handle_after(Time delay, PacketSink& sink, PacketPool::Handle h) {
-    schedule_deliver_handle_at(now_ + delay, sink, h);
-  }
-
-  // ---- delivery batches (event engine v3) ----
+  // ---- delivery batches ----
 
   /// Identifies one per-sink in-flight batch (see the header comment).
   using BatchId = std::uint32_t;
@@ -167,18 +129,22 @@ class Scheduler {
   /// dst-read semantics.
   void rebind_delivery_batch(BatchId id, PacketSink& sink);
 
-  /// Fire-and-forget packet delivery through a batch: like
-  /// schedule_deliver_at, but the in-flight record lives in the batch's
-  /// parallel arrays instead of a heap/wheel entry. Appends must be
-  /// time-monotonic per batch (true for any fixed-delay pipe fed by a
-  /// monotonic clock); an out-of-order append falls back to a regular
-  /// per-event entry bound to the batch's current sink.
+  /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
+  /// batch `id`'s sink a reference to that copy at time `at`. The in-flight
+  /// record lives in the batch's parallel arrays, not in a heap/wheel
+  /// entry. Preconditions: at >= now(), and appends to one batch are
+  /// time-monotonic (at >= the batch's last queued arrival) — true for any
+  /// fixed-delay pipe fed by a monotonic clock, which is what Link and
+  /// DelayLine are.
   void schedule_deliver_batch_at(Time at, BatchId id, const Packet& pkt) {
     schedule_deliver_batch_handle_at(at, id, pool_.acquire(pkt));
   }
   void schedule_deliver_batch_after(Time delay, BatchId id, const Packet& pkt) {
     schedule_deliver_batch_at(now_ + delay, id, pkt);
   }
+  /// As above but transfers ownership of an already-acquired handle — the
+  /// scheduler releases it after delivery. Used by Link to move the packet
+  /// it serialized straight into propagation without another copy.
   void schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool::Handle h);
   void schedule_deliver_batch_handle_after(Time delay, BatchId id, PacketPool::Handle h) {
     schedule_deliver_batch_handle_at(now_ + delay, id, h);
@@ -199,9 +165,6 @@ class Scheduler {
   /// `end`; leaves now() == end (events exactly at `end` do fire).
   void run_until(Time end);
 
-  /// Runs a single event if one is pending. Returns false if queue empty.
-  bool run_one();
-
   /// Number of events executed since construction (for perf benches).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   /// Number of live (non-cancelled) pending events.
@@ -218,21 +181,17 @@ class Scheduler {
   [[nodiscard]] std::size_t wheel_entries() const { return wheel_size_; }
 
  private:
-  enum class Kind : std::uint8_t { kClosure, kCall, kDeliver, kDeliverBatch };
-
   /// Sentinel slot for fire-and-forget entries that carry no cancellation
-  /// state (kDeliver). Such entries are always live.
+  /// state. Such entries are always live.
   static constexpr std::uint32_t kNoSlot = 0xffff'ffffu;
 
-  /// A slab slot holding one cancellable event's identity (and, for kClosure
-  /// events, its callback). `gen` counts how many times the slot has been
-  /// released; an EventId or queue entry carrying an older generation is
-  /// stale. (Wrap after 2^32 releases of a single slot is beyond any
-  /// simulation we run.) `loc` remembers where the entry currently sits —
-  /// kLocHeap, kLocReady, or (level << 8 | bucket) — so cancel() knows which
-  /// structure accumulated the stale record.
+  /// A slab slot holding one cancellable event's identity. `gen` counts how
+  /// many times the slot has been released; an EventId or queue entry
+  /// carrying an older generation is stale. (Wrap after 2^32 releases of a
+  /// single slot is beyond any simulation we run.) `loc` remembers where the
+  /// entry currently sits — kLocHeap, kLocReady, or (level << 8 | bucket) —
+  /// so cancel() knows which structure accumulated the stale record.
   struct Slot {
-    std::function<void()> fn;
     std::uint32_t gen{1};
     std::uint16_t loc{kLocHeap};
     bool armed{false};
@@ -240,26 +199,15 @@ class Scheduler {
   static constexpr std::uint16_t kLocHeap = 0xffff;
   static constexpr std::uint16_t kLocReady = 0xfffe;
 
+  /// A stored event: heap, wheel-bucket and ready-batch record alike.
   struct Entry {
     Time at;
     std::uint64_t seq;   // global schedule order: FIFO tie-break at equal times
-    std::uint32_t slot;  // kNoSlot for fire-and-forget deliveries
+    std::uint32_t slot;  // kNoSlot for fire-and-forget events
     std::uint32_t gen;
-    union {
-      struct {
-        RawCallback fn;
-        void* ctx;
-        std::uint64_t arg;
-      } call;  // kCall
-      struct {
-        PacketSink* sink;
-        PacketPool::Handle handle;
-      } deliver;  // kDeliver
-      struct {
-        std::uint32_t id;
-      } batch;  // kDeliverBatch — synthesized by pop_next, never stored
-    } u{};
-    Kind kind{Kind::kClosure};
+    RawCallback fn;
+    void* ctx;
+    std::uint64_t arg;
   };
   // std::push_heap/pop_heap build a max-heap w.r.t. the comparator, so
   // "later" as less-than puts the earliest (and lowest-seq) entry at front.
@@ -314,13 +262,9 @@ class Scheduler {
 
   /// Allocates a slab slot for a cancellable event and returns its index.
   std::uint32_t acquire_slot();
-  /// Moves the callback out of a live slot and returns the slot to the free
-  /// list (bumping its generation so stale ids/entries cannot alias it).
-  std::function<void()> release_slot(std::uint32_t slot);
-  /// As above but destroys the callback (if any) in place instead of
-  /// returning it — cancel() and the kCall fire path discard it anyway, and
-  /// skipping the std::function round-trip matters at RTO-churn rates.
-  void release_slot_discard(std::uint32_t slot);
+  /// Returns a live slot to the free list, bumping its generation so stale
+  /// ids/entries cannot alias it.
+  void release_slot(std::uint32_t slot);
 
   /// Routes an entry to the wheel (cancellable, far enough out) or the heap.
   void place(const Entry& e);
@@ -339,25 +283,26 @@ class Scheduler {
   /// Drops cancelled entries from every bucket (wheel analogue of compact()).
   void sweep_wheel();
 
-  /// Pops the globally-earliest live event (ready batch, heap and wheel all
-  /// considered) into `out`. Returns false if there is none at or before
-  /// `limit`.
-  bool pop_next(Entry& out, Time limit);
+  /// Finds the globally-earliest live event — ready batch, heap, wheel and
+  /// delivery-batch fronts all considered. Returns false if there is none at
+  /// or before `limit`. When a stored entry wins it is popped into `out` and
+  /// `batch` is kNoBatch; when a delivery batch's front wins nothing is
+  /// popped and `batch` names it, for dispatch_batch() to drain.
+  bool pop_next(Entry& out, std::uint32_t& batch, Time limit);
   /// Pops the front heap entry (the earliest).
   void pop_front();
   /// Rebuilds the heap without stale (cancelled) entries.
   void compact();
-  /// Executes one entry: advances the clock and dispatches on kind.
-  /// `limit` bounds how far a kDeliverBatch dispatch may drain (run_until's
-  /// end time, or Time::never() from run_one).
-  void dispatch(const Entry& e, Time limit);
+  /// Executes one popped entry: advances the clock, releases its slot and
+  /// calls it.
+  void fire(const Entry& e);
 
-  // ---- delivery-batch internals (event engine v3) ----
+  // ---- delivery-batch internals ----
 
   /// One per-sink struct-of-arrays in-flight queue. The parallel vectors are
-  /// a sorted-by-(at, seq) run: appends are time-monotonic (enforced at
-  /// schedule time; violators fall back to per-event entries) and seq is
-  /// globally increasing, so [head, size) is always in firing order.
+  /// a sorted-by-(at, seq) run: appends are time-monotonic (a precondition
+  /// of schedule_deliver_batch_*) and seq is globally increasing, so
+  /// [head, size) is always in firing order.
   struct DeliveryBatch {
     PacketSink* sink{nullptr};
     std::vector<Time> at;
@@ -373,9 +318,7 @@ class Scheduler {
   void recompute_batch_min();
   /// Drains batch `id` up to (exclusive) the earliest non-batch event or
   /// `limit`, delivering same-time runs through one deliver_batch() call.
-  /// With single_step set, delivers exactly the front run's first element
-  /// (run_one's one-event contract).
-  void dispatch_batch(std::uint32_t id, Time limit, bool single_step);
+  void dispatch_batch(std::uint32_t id, Time limit);
 
   Time now_{Time::zero()};
   std::uint64_t next_seq_{1};

@@ -245,7 +245,7 @@ TEST(TcpFlow, IdleRestartCollapsesStaleWindow) {
     explicit BurstyApp(sim::Scheduler& sched) : sched_{sched} {}
     void on_start(Time /*now*/) override {
       // Wake the (by then idle) sender when the second phase begins.
-      sched_.schedule_at(Time::sec(6.0), [this] { notify_data_ready(); });
+      sched_.schedule_member_fire_at<&BurstyApp::notify_data_ready>(Time::sec(6.0), this);
     }
     ByteCount bytes_available(Time now) override {
       // 2 MB burst at t=0, silence once it drains, resume at 6s.

@@ -1,13 +1,13 @@
-// Stress and golden-order tests for the event engine v2 (typed records,
-// timer wheel, ready batch, packet arena).
+// Stress and golden-order tests for the event engine (typed events, timer
+// wheel, ready batch, per-sink delivery batches, packet arena).
 //
-// The engine's contract is exactly the pre-wheel scheduler's contract:
+// The engine's contract is exactly a plain heap scheduler's contract:
 // events fire in ascending (time, schedule-order) regardless of which
-// internal structure (heap, wheel bucket, ready batch) they pass through.
-// The golden test below checks a large adversarial workload against an
-// independent reference model of that contract — NOT against the engine's
-// own bookkeeping — so any internal reordering (a bucket spilled late, a
-// cascade dropped, a tie broken by address) fails loudly.
+// internal structure (heap, wheel bucket, ready batch, delivery batch) they
+// pass through. The golden tests below check large adversarial workloads
+// against an independent reference model of that contract — NOT against
+// the engine's own bookkeeping — so any internal reordering (a bucket
+// spilled late, a cascade dropped, a tie broken by address) fails loudly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,91 +49,78 @@ struct LabelSink : sim::PacketSink {
   void deliver(const sim::Packet& p) override { log->push_back(static_cast<int>(p.flow)); }
 };
 
-/// Golden firing order: an adversarial workload — every event kind, delays
-/// straddling all wheel levels plus sub-tick and same-tick times, equal-time
-/// ties, and a third of the cancellable timers cancelled mid-run — must fire
-/// in exactly the (time, schedule-order) sequence of an independent model.
-TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
-  constexpr int kEvents = 20'000;
-  Scheduler sched;
-  std::vector<int> fired;  // labels in actual firing order
-  fired.reserve(kEvents);
+/// A typed event that appends `label` to `log` when it fires.
+struct LabelCtx {
+  std::vector<int>* log;
+  int label;
+};
+void log_label(void* c, std::uint64_t) {
+  auto* ctx = static_cast<LabelCtx*>(c);
+  ctx->log->push_back(ctx->label);
+}
+
+/// The forms the simulator's components schedule with: a cancellable typed
+/// call, a fire-and-forget call, and appends to two delivery batches.
+enum class Kind { kCall, kFire, kBatchA, kBatchB };
+struct Planned {
+  Time at;
+  Kind kind;
+};
+
+/// Delivery-batch appends must be time-monotonic per batch, so each batch's
+/// drawn times are re-dealt in ascending order over that batch's schedule
+/// positions: the same multiset of times — and so the same ties with every
+/// other kind — in an order a fixed-delay pipe could produce.
+void make_batch_appends_monotonic(std::vector<Planned>& plan) {
+  for (const Kind k : {Kind::kBatchA, Kind::kBatchB}) {
+    std::vector<Time> times;
+    for (const Planned& p : plan) {
+      if (p.kind == k) times.push_back(p.at);
+    }
+    std::sort(times.begin(), times.end());
+    auto next = times.begin();
+    for (Planned& p : plan) {
+      if (p.kind == k) p.at = *next++;
+    }
+  }
+}
+
+/// Schedules `plan` (event i labelled i) on `sched`, before the run starts,
+/// then cancels about a third of the cancellable calls. Returns the
+/// reference model: the events that must fire, in (time, schedule-order).
+std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>& plan,
+                                    std::vector<int>& fired, std::vector<LabelCtx>& ctxs,
+                                    LabelSink& sink_a, LabelSink& sink_b, Mix& rng) {
+  sink_a.log = &fired;
+  sink_b.log = &fired;
+  const Scheduler::BatchId batch_a = sched.register_delivery_batch(sink_a);
+  const Scheduler::BatchId batch_b = sched.register_delivery_batch(sink_b);
+  ctxs.resize(plan.size());
   std::vector<RefEvent> model;
-  model.reserve(kEvents);
+  model.reserve(plan.size());
   std::vector<std::pair<EventId, std::size_t>> cancellable;  // id -> model idx
-
-  LabelSink sink;
-  sink.log = &fired;
-  struct Ctx {
-    std::vector<int>* log;
-    int label;
-  };
-  std::vector<Ctx> ctxs(kEvents);
-
-  Mix rng{0x5eedull};
-  std::uint64_t order = 0;
-  for (int i = 0; i < kEvents; ++i) {
-    // Delays spanning: same-time ties (0), sub-tick (us), one-tick (ms),
-    // level-0 (tens of ms), level-1 (hundreds of ms .. s), level-2 (minutes).
-    Time delay;
-    switch (rng.below(6)) {
-      case 0: delay = Time::zero(); break;
-      case 1: delay = Time::us(static_cast<std::int64_t>(rng.below(1000))); break;
-      case 2: delay = Time::ms(static_cast<std::int64_t>(rng.below(10))); break;
-      case 3: delay = Time::ms(static_cast<std::int64_t>(rng.below(100))); break;
-      case 4: delay = Time::ms(static_cast<std::int64_t>(100 + rng.below(5000))); break;
-      default: delay = Time::sec(static_cast<double>(60 + rng.below(300))); break;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const int label = static_cast<int>(i);
+    const Time at = plan[i].at;
+    ctxs[i] = {&fired, label};
+    sim::Packet p;
+    p.flow = static_cast<sim::FlowId>(label);
+    switch (plan[i].kind) {
+      case Kind::kCall:
+        cancellable.emplace_back(sched.schedule_call_at(at, log_label, &ctxs[i]), i);
+        break;
+      case Kind::kFire: sched.schedule_fire_at(at, log_label, &ctxs[i]); break;
+      case Kind::kBatchA: sched.schedule_deliver_batch_at(at, batch_a, p); break;
+      case Kind::kBatchB: sched.schedule_deliver_batch_at(at, batch_b, p); break;
     }
-    const Time at = delay;  // scheduled before the run starts, from t=0
-    ctxs[i] = {&fired, i};
-    switch (rng.below(4)) {
-      case 0: {  // generic closure
-        auto* log = &fired;
-        const EventId id = sched.schedule_at(at, [log, i] { log->push_back(i); });
-        cancellable.emplace_back(id, model.size());
-        break;
-      }
-      case 1: {  // typed call
-        const EventId id = sched.schedule_call_at(
-            at,
-            [](void* c, std::uint64_t) {
-              auto* ctx = static_cast<Ctx*>(c);
-              ctx->log->push_back(ctx->label);
-            },
-            &ctxs[i]);
-        cancellable.emplace_back(id, model.size());
-        break;
-      }
-      case 2:  // fire-and-forget typed call (no slot)
-        sched.schedule_fire_at(
-            at,
-            [](void* c, std::uint64_t) {
-              auto* ctx = static_cast<Ctx*>(c);
-              ctx->log->push_back(ctx->label);
-            },
-            &ctxs[i]);
-        break;
-      default: {  // packet delivery through the arena
-        sim::Packet p;
-        p.flow = static_cast<sim::FlowId>(i);
-        sched.schedule_deliver_at(at, sink, p);
-        break;
-      }
-    }
-    model.push_back({at, order++, i});
+    model.push_back({at, i, label});
   }
-
-  // Cancel ~a third of the cancellable events (deterministically chosen).
-  for (std::size_t k = 0; k < cancellable.size(); ++k) {
+  for (const auto& [id, idx] : cancellable) {
     if (rng.below(3) == 0) {
-      sched.cancel(cancellable[k].first);
-      model[cancellable[k].second].cancelled = true;
+      sched.cancel(id);
+      model[idx].cancelled = true;
     }
   }
-
-  sched.run_until(Time::sec(1e6));
-
-  // Reference: surviving events sorted by (time, schedule order).
   std::vector<RefEvent> expect;
   for (const auto& e : model) {
     if (!e.cancelled) expect.push_back(e);
@@ -142,6 +129,39 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
     if (a.at != b.at) return a.at < b.at;
     return a.order < b.order;
   });
+  return expect;
+}
+
+/// Golden firing order: an adversarial workload — every event form, delays
+/// straddling all wheel levels plus sub-tick and same-tick times, equal-time
+/// ties, and a third of the cancellable timers cancelled mid-run — must fire
+/// in exactly the (time, schedule-order) sequence of an independent model.
+TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
+  constexpr int kEvents = 20'000;
+  Mix rng{0x5eedull};
+  std::vector<Planned> plan(kEvents);
+  for (Planned& p : plan) {
+    // Delays spanning: same-time ties (0), sub-tick (us), one-tick (ms),
+    // level-0 (tens of ms), level-1 (hundreds of ms .. s), level-2 (minutes).
+    switch (rng.below(6)) {
+      case 0: p.at = Time::zero(); break;
+      case 1: p.at = Time::us(static_cast<std::int64_t>(rng.below(1000))); break;
+      case 2: p.at = Time::ms(static_cast<std::int64_t>(rng.below(10))); break;
+      case 3: p.at = Time::ms(static_cast<std::int64_t>(rng.below(100))); break;
+      case 4: p.at = Time::ms(static_cast<std::int64_t>(100 + rng.below(5000))); break;
+      default: p.at = Time::sec(static_cast<double>(60 + rng.below(300))); break;
+    }
+    p.kind = static_cast<Kind>(rng.below(4));
+  }
+  make_batch_appends_monotonic(plan);
+
+  Scheduler sched;
+  std::vector<int> fired;  // labels in actual firing order
+  fired.reserve(kEvents);
+  std::vector<LabelCtx> ctxs;
+  LabelSink sink_a, sink_b;
+  const auto expect = schedule_plan(sched, plan, fired, ctxs, sink_a, sink_b, rng);
+  sched.run_until(Time::sec(1e6));
 
   ASSERT_EQ(fired.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -158,21 +178,11 @@ TEST(SchedulerStress, IdenticalWorkloadIsBitIdentical) {
     Scheduler sched;
     std::vector<int> fired;
     Mix rng{0xabcdull};
-    struct Ctx {
-      std::vector<int>* log;
-      int label;
-    };
-    std::vector<Ctx> ctxs(5000);
+    std::vector<LabelCtx> ctxs(5000);
     for (int i = 0; i < 5000; ++i) {
       const Time at = Time::us(static_cast<std::int64_t>(rng.below(200'000)));
       ctxs[i] = {&fired, i};
-      sched.schedule_fire_at(
-          at,
-          [](void* c, std::uint64_t) {
-            auto* ctx = static_cast<Ctx*>(c);
-            ctx->log->push_back(ctx->label);
-          },
-          &ctxs[i]);
+      sched.schedule_fire_at(at, log_label, &ctxs[i]);
     }
     sched.run_until(Time::sec(10));
     return fired;
@@ -248,192 +258,63 @@ TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
   }
 }
 
-/// All four event kinds scheduled at one instant fire in schedule order —
-/// the FIFO tie-break holds across kinds, not just within one.
+/// A cancellable call, batch deliveries and a fire-and-forget call
+/// scheduled at one instant fire in schedule order — the FIFO tie-break holds
+/// across forms, and a same-time batch run stops at the interleaved call.
 TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   Scheduler sched;
   std::vector<int> fired;
   LabelSink sink;
   sink.log = &fired;
-  struct Ctx {
-    std::vector<int>* log;
-    int label;
-  } c1{&fired, 1}, c3{&fired, 3};
+  const Scheduler::BatchId batch = sched.register_delivery_batch(sink);
+  LabelCtx c0{&fired, 0}, c2{&fired, 2};
+  sim::Packet p1, p3;
+  p1.flow = 1;
+  p3.flow = 3;
 
   const Time at = Time::ms(5);
-  sched.schedule_at(at, [&] { fired.push_back(0); });  // closure
-  sched.schedule_call_at(
-      at,
-      [](void* c, std::uint64_t) {
-        auto* ctx = static_cast<Ctx*>(c);
-        ctx->log->push_back(ctx->label);
-      },
-      &c1);                             // typed call
-  sim::Packet p;
-  p.flow = 2;
-  sched.schedule_deliver_at(at, sink, p);  // arena delivery
-  sched.schedule_fire_at(
-      at,
-      [](void* c, std::uint64_t) {
-        auto* ctx = static_cast<Ctx*>(c);
-        ctx->log->push_back(ctx->label);
-      },
-      &c3);  // fire-and-forget
+  sched.schedule_call_at(at, log_label, &c0);      // cancellable call
+  sched.schedule_deliver_batch_at(at, batch, p1);  // batch delivery
+  sched.schedule_fire_at(at, log_label, &c2);      // fire-and-forget
+  sched.schedule_deliver_batch_at(at, batch, p3);  // same batch, same time
   sched.run_until(Time::ms(10));
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
-/// The packet arena recycles slots: steady-state relay traffic must not
-/// grow capacity beyond the high-water mark of simultaneous in-flight
-/// packets.
-TEST(SchedulerStress, PacketPoolRecyclesSlots) {
-  Scheduler sched;
-  struct Repeater : sim::PacketSink {
-    Scheduler* sched;
-    int hops{0};
-    void deliver(const sim::Packet& p) override {
-      if (++hops < 50'000) sched->schedule_deliver_after(Time::us(7), *this, p);
-    }
-  } relay;
-  relay.sched = &sched;
-  sim::Packet seed;
-  seed.flow = 9;
-  // Two packets ping-ponging forever: capacity must stay ~2, not grow.
-  sched.schedule_deliver_at(Time::zero(), relay, seed);
-  sched.schedule_deliver_at(Time::zero(), relay, seed);
-  sched.run_until(Time::sec(1));
-  EXPECT_EQ(sched.packets().live(), 0u);
-  EXPECT_LE(sched.packets().capacity(), 4u);
-}
-
-/// Golden firing order with kDeliverBatch in the mix. Batch deliveries
-/// live in per-sink SoA queues merged into the schedule as synthesized
-/// fronts (never stored as entries), so the test that matters is exactly
-/// the v2 golden test's: an adversarial interleaving of batch deliveries
-/// with every other kind — equal-time ties across kinds, heavy same-tick
-/// runs within one batch, and a third of the cancellable timers cancelled
-/// mid-run — must fire in the (time, schedule-order) sequence of an
-/// independent model. Runs the workload twice: once through run_until
-/// (bulk drain, fused heap path) and once event-by-event through run_one
-/// (the single_step fallback), which must agree with the model and with
-/// each other.
+/// Golden firing order through the bulk batch drain. The same four forms as
+/// the golden test above, but on a small time alphabet: massive equal-time
+/// ties force long same-tick runs inside each batch queue (the bulk-drain
+/// and fused-heap paths of dispatch_batch) while still interleaving the two
+/// batches with each other and with the calls. The firing order must match
+/// the independent (time, schedule-order) model event for event.
 TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
   constexpr int kEvents = 20'000;
-  struct Ctx {
-    std::vector<int>* log;
-    int label;
-  };
-
-  // Builds the identical workload on a fresh scheduler and returns the
-  // reference model; `fired` receives labels in actual firing order.
-  auto build = [&](Scheduler& sched, std::vector<int>& fired, std::vector<Ctx>& ctxs,
-                   LabelSink& sink_plain, LabelSink& sink_a, LabelSink& sink_b) {
-    sink_plain.log = &fired;
-    sink_a.log = &fired;
-    sink_b.log = &fired;
-    const Scheduler::BatchId batch_a = sched.register_delivery_batch(sink_a);
-    const Scheduler::BatchId batch_b = sched.register_delivery_batch(sink_b);
-
-    std::vector<RefEvent> model;
-    model.reserve(kEvents);
-    std::vector<std::pair<EventId, std::size_t>> cancellable;
-    Mix rng{0xba7c4ull};
-    std::uint64_t order = 0;
-    for (int i = 0; i < kEvents; ++i) {
-      // A small time alphabet on purpose: massive equal-time ties force
-      // long same-tick runs inside each batch queue (the bulk-drain path)
-      // while still interleaving the two batches and the other kinds.
-      Time at;
-      switch (rng.below(4)) {
-        case 0: at = Time::ms(static_cast<std::int64_t>(rng.below(8))); break;
-        case 1: at = Time::us(static_cast<std::int64_t>(100 * rng.below(50))); break;
-        case 2: at = Time::ms(static_cast<std::int64_t>(50 + rng.below(20))); break;
-        default: at = Time::sec(static_cast<double>(1 + rng.below(3))); break;
-      }
-      ctxs[static_cast<std::size_t>(i)] = {&fired, i};
-      switch (rng.below(5)) {
-        case 0: {  // closure (cancellable)
-          auto* log = &fired;
-          const EventId id = sched.schedule_at(at, [log, i] { log->push_back(i); });
-          cancellable.emplace_back(id, model.size());
-          break;
-        }
-        case 1: {  // typed call (cancellable)
-          const EventId id = sched.schedule_call_at(
-              at,
-              [](void* c, std::uint64_t) {
-                auto* ctx = static_cast<Ctx*>(c);
-                ctx->log->push_back(ctx->label);
-              },
-              &ctxs[static_cast<std::size_t>(i)]);
-          cancellable.emplace_back(id, model.size());
-          break;
-        }
-        case 2: {  // plain arena delivery (kDeliver)
-          sim::Packet p;
-          p.flow = static_cast<sim::FlowId>(i);
-          sched.schedule_deliver_at(at, sink_plain, p);
-          break;
-        }
-        case 3: {  // SoA batch delivery, sink A
-          sim::Packet p;
-          p.flow = static_cast<sim::FlowId>(i);
-          sched.schedule_deliver_batch_at(at, batch_a, p);
-          break;
-        }
-        default: {  // SoA batch delivery, sink B
-          sim::Packet p;
-          p.flow = static_cast<sim::FlowId>(i);
-          sched.schedule_deliver_batch_at(at, batch_b, p);
-          break;
-        }
-      }
-      model.push_back({at, order++, i});
+  Mix rng{0xba7c4ull};
+  std::vector<Planned> plan(kEvents);
+  for (Planned& p : plan) {
+    switch (rng.below(4)) {
+      case 0: p.at = Time::ms(static_cast<std::int64_t>(rng.below(8))); break;
+      case 1: p.at = Time::us(static_cast<std::int64_t>(100 * rng.below(50))); break;
+      case 2: p.at = Time::ms(static_cast<std::int64_t>(50 + rng.below(20))); break;
+      default: p.at = Time::sec(static_cast<double>(1 + rng.below(3))); break;
     }
-    for (std::size_t k = 0; k < cancellable.size(); ++k) {
-      if (rng.below(3) == 0) {
-        sched.cancel(cancellable[k].first);
-        model[cancellable[k].second].cancelled = true;
-      }
-    }
-    return model;
-  };
-
-  // Leg 1: bulk run_until.
-  Scheduler bulk;
-  std::vector<int> bulk_fired;
-  bulk_fired.reserve(kEvents);
-  std::vector<Ctx> bulk_ctxs(kEvents);
-  LabelSink bp, ba, bb;
-  const auto model = build(bulk, bulk_fired, bulk_ctxs, bp, ba, bb);
-  bulk.run_until(Time::sec(10));
-
-  // Leg 2: the same workload stepped one event at a time (single_step).
-  Scheduler stepped;
-  std::vector<int> step_fired;
-  step_fired.reserve(kEvents);
-  std::vector<Ctx> step_ctxs(kEvents);
-  LabelSink sp, sa, sb;
-  (void)build(stepped, step_fired, step_ctxs, sp, sa, sb);
-  while (stepped.run_one()) {
+    p.kind = static_cast<Kind>(rng.below(4));
   }
+  make_batch_appends_monotonic(plan);
 
-  std::vector<RefEvent> expect;
-  for (const auto& e : model) {
-    if (!e.cancelled) expect.push_back(e);
-  }
-  std::stable_sort(expect.begin(), expect.end(), [](const RefEvent& a, const RefEvent& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.order < b.order;
-  });
+  Scheduler sched;
+  std::vector<int> fired;
+  fired.reserve(kEvents);
+  std::vector<LabelCtx> ctxs;
+  LabelSink sink_a, sink_b;
+  const auto expect = schedule_plan(sched, plan, fired, ctxs, sink_a, sink_b, rng);
+  sched.run_until(Time::sec(10));
 
-  ASSERT_EQ(bulk_fired.size(), expect.size());
+  ASSERT_EQ(fired.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
-    ASSERT_EQ(bulk_fired[i], expect[i].label) << "bulk divergence at position " << i;
+    ASSERT_EQ(fired[i], expect[i].label) << "divergence at position " << i;
   }
-  EXPECT_EQ(step_fired, bulk_fired);
-  EXPECT_EQ(bulk.pending(), 0u);
-  EXPECT_EQ(stepped.pending(), 0u);
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 /// The batch drain returns arena handles as it delivers, not at tick end:

@@ -1,9 +1,11 @@
 // Unit tests for the discrete-event simulator core.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "queue/drop_tail.hpp"
 #include "sim/demux.hpp"
 #include "sim/link.hpp"
@@ -14,12 +16,15 @@
 namespace ccc::sim {
 namespace {
 
+using testutil::ClosureEvents;
+
 TEST(Scheduler, RunsEventsInTimeOrder) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   std::vector<int> order;
-  sched.schedule_at(Time::ms(30), [&] { order.push_back(3); });
-  sched.schedule_at(Time::ms(10), [&] { order.push_back(1); });
-  sched.schedule_at(Time::ms(20), [&] { order.push_back(2); });
+  ev.at(Time::ms(30), [&] { order.push_back(3); });
+  ev.at(Time::ms(10), [&] { order.push_back(1); });
+  ev.at(Time::ms(20), [&] { order.push_back(2); });
   sched.run_until(Time::ms(100));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sched.now(), Time::ms(100));
@@ -27,9 +32,10 @@ TEST(Scheduler, RunsEventsInTimeOrder) {
 
 TEST(Scheduler, FifoTieBreakAtEqualTimes) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    sched.schedule_at(Time::ms(10), [&order, i] { order.push_back(i); });
+    ev.at(Time::ms(10), [&order, i] { order.push_back(i); });
   }
   sched.run_until(Time::ms(10));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -37,8 +43,9 @@ TEST(Scheduler, FifoTieBreakAtEqualTimes) {
 
 TEST(Scheduler, CancelPreventsExecution) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   bool fired = false;
-  const EventId id = sched.schedule_at(Time::ms(5), [&] { fired = true; });
+  const EventId id = ev.at(Time::ms(5), [&] { fired = true; });
   sched.cancel(id);
   sched.run_until(Time::ms(10));
   EXPECT_FALSE(fired);
@@ -52,21 +59,23 @@ TEST(Scheduler, CancelUnknownIdIsNoop) {
 
 TEST(Scheduler, EventsCanReschedule) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   int count = 0;
   std::function<void()> tick = [&] {
     ++count;
-    if (count < 5) sched.schedule_after(Time::ms(10), tick);
+    if (count < 5) ev.after(Time::ms(10), tick);
   };
-  sched.schedule_at(Time::zero(), tick);
+  ev.at(Time::zero(), tick);
   sched.run_until(Time::sec(1.0));
   EXPECT_EQ(count, 5);
 }
 
 TEST(Scheduler, RunUntilStopsAtBoundary) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   bool late_fired = false;
-  sched.schedule_at(Time::ms(10), [] {});
-  sched.schedule_at(Time::ms(21), [&] { late_fired = true; });
+  ev.at(Time::ms(10), [] {});
+  ev.at(Time::ms(21), [&] { late_fired = true; });
   sched.run_until(Time::ms(20));
   EXPECT_FALSE(late_fired);
   EXPECT_EQ(sched.now(), Time::ms(20));
@@ -76,22 +85,24 @@ TEST(Scheduler, RunUntilStopsAtBoundary) {
 
 TEST(Scheduler, EventAtExactBoundaryFires) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   bool fired = false;
-  sched.schedule_at(Time::ms(20), [&] { fired = true; });
+  ev.at(Time::ms(20), [&] { fired = true; });
   sched.run_until(Time::ms(20));
   EXPECT_TRUE(fired);
 }
 
 TEST(Scheduler, CancelAfterFireIsNoop) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   int fired = 0;
-  const EventId id = sched.schedule_at(Time::ms(5), [&] { ++fired; });
+  const EventId id = ev.at(Time::ms(5), [&] { ++fired; });
   sched.run_until(Time::ms(10));
   EXPECT_EQ(fired, 1);
   sched.cancel(id);  // stale id: must not crash or disturb anything
   EXPECT_EQ(sched.pending(), 0u);
   // A new event scheduled after the stale cancel still fires normally.
-  sched.schedule_at(Time::ms(20), [&] { ++fired; });
+  ev.at(Time::ms(20), [&] { ++fired; });
   sched.cancel(id);  // stale id again, now that the slot may be reused
   sched.run_until(Time::ms(30));
   EXPECT_EQ(fired, 2);
@@ -99,11 +110,12 @@ TEST(Scheduler, CancelAfterFireIsNoop) {
 
 TEST(Scheduler, IdsNeverAliasAfterSlabReuse) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   // Cycle the same slab slot many times; every id must be distinct and a
   // stale id must never cancel the slot's current occupant.
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) {
-    const EventId id = sched.schedule_at(Time::ms(5), [] {});
+    const EventId id = ev.at(Time::ms(5), [] {});
     sched.cancel(id);  // releases the slot for reuse
     ids.push_back(id);
   }
@@ -111,7 +123,7 @@ TEST(Scheduler, IdsNeverAliasAfterSlabReuse) {
     for (std::size_t j = i + 1; j < ids.size(); ++j) EXPECT_NE(ids[i], ids[j]);
   }
   bool fired = false;
-  sched.schedule_at(Time::ms(5), [&] { fired = true; });  // reuses a slot
+  ev.at(Time::ms(5), [&] { fired = true; });  // reuses a slot
   for (const EventId stale : ids) sched.cancel(stale);
   EXPECT_EQ(sched.pending(), 1u);
   sched.run_until(Time::ms(10));
@@ -120,10 +132,11 @@ TEST(Scheduler, IdsNeverAliasAfterSlabReuse) {
 
 TEST(Scheduler, PendingAccurateUnderCancelChurn) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sched.schedule_at(Time::ms(100 + i), [&] { ++fired; }));
+    ids.push_back(ev.at(Time::ms(100 + i), [&] { ++fired; }));
   }
   EXPECT_EQ(sched.pending(), 1000u);
   for (std::size_t i = 0; i < ids.size(); i += 2) sched.cancel(ids[i]);
@@ -138,33 +151,35 @@ TEST(Scheduler, PendingAccurateUnderCancelChurn) {
 
 TEST(Scheduler, HeapCompactsUnderMassCancellation) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   // The retransmission-timer pathology: long-lived timers that are always
   // disarmed before firing. Without compaction the heap grows unboundedly.
   std::vector<EventId> ids;
   for (int i = 0; i < 10000; ++i) {
-    ids.push_back(sched.schedule_at(Time::sec(100.0), [] {}));
+    ids.push_back(ev.at(Time::sec(100.0), [] {}));
   }
   for (const EventId id : ids) sched.cancel(id);
   EXPECT_EQ(sched.pending(), 0u);
   EXPECT_LT(sched.heap_entries(), 5000u) << "cancelled timers must not accumulate";
   // The scheduler remains fully functional after compaction.
   bool fired = false;
-  sched.schedule_at(Time::ms(1), [&] { fired = true; });
+  ev.at(Time::ms(1), [&] { fired = true; });
   sched.run_until(Time::ms(2));
   EXPECT_TRUE(fired);
 }
 
 TEST(Scheduler, FifoTieBreakSurvivesSlotReuse) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   // Fire-and-reschedule so slots get reused out of their original order,
   // then verify FIFO tie-break still follows schedule order, not slot order.
   std::vector<int> order;
-  const EventId a = sched.schedule_at(Time::ms(1), [] {});
-  const EventId b = sched.schedule_at(Time::ms(1), [] {});
+  const EventId a = ev.at(Time::ms(1), [] {});
+  const EventId b = ev.at(Time::ms(1), [] {});
   sched.cancel(b);
   sched.cancel(a);  // free list now holds slots in reverse order
   for (int i = 0; i < 4; ++i) {
-    sched.schedule_at(Time::ms(10), [&order, i] { order.push_back(i); });
+    ev.at(Time::ms(10), [&order, i] { order.push_back(i); });
   }
   sched.run_until(Time::ms(10));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -295,18 +310,70 @@ TEST(Link, PeriodicStallScheduleDoesNotPhaseLock) {
   // wifi-pie service cells starving). With mid-flight re-planning the link
   // must deliver at roughly the duty-cycled rate instead.
   Scheduler sched;
+  ClosureEvents ev{sched};
   CollectingSink sink{sched};
   Link link{sched, Rate::mbps(48), Time::zero(), std::make_unique<queue::DropTailQueue>(1 << 20),
             sink};
   for (Time t = Time::ms(3); t < Time::ms(500); t += Time::ms(4)) {
-    sched.schedule_at(t, [&link] { link.set_rate(Rate::mbps(1)); });
-    sched.schedule_at(t + Time::ms(1), [&link] { link.set_rate(Rate::mbps(48)); });
+    ev.at(t, [&link] { link.set_rate(Rate::mbps(1)); });
+    ev.at(t + Time::ms(1), [&link] { link.set_rate(Rate::mbps(48)); });
   }
   for (int i = 0; i < 200; ++i) link.send(make_data(1, 1500));
   // Duty-cycled capacity is ~36 Mbit/s: 200 packets (~2.4 Mbit) take ~70 ms.
   // The phase-locked failure mode needed ~2.3 s.
   sched.run_until(Time::ms(500));
   EXPECT_EQ(sink.packets.size(), 200u);
+}
+
+TEST(Link, DenseMidFlightRateChangesKeepDeliveriesMonotonic) {
+  // Link and DelayLine feed the scheduler's delivery batches, whose appends
+  // must be time-monotonic. A set_rate that lands mid-serialization re-plans
+  // the completion — earlier when the rate rises, later when it falls — so
+  // drive hundreds of such re-plans per packet batch, in both directions,
+  // through a Link with a DelayLine behind it: arrivals at the final sink
+  // must never go back in time, and every packet the qdisc released must
+  // arrive.
+  Scheduler sched;
+  ClosureEvents ev{sched};
+  CollectingSink sink{sched};
+  DelayLine line{sched, Time::ms(3), sink};
+  Link link{sched, Rate::mbps(12), Time::ms(5), std::make_unique<queue::DropTailQueue>(1 << 20),
+            line};
+  Rng rng{11};
+  int ups = 0;
+  int downs = 0;
+  int mid_flight = 0;  // changes made while a backlog kept the link serializing
+  double prev_mbps = 12.0;
+  for (Time t = Time::us(20); t < Time::sec(1.0);
+       t += Time::us(20 + rng.uniform_int(0, 180))) {
+    const double mbps = rng.uniform(1.0, 48.0);
+    (mbps > prev_mbps ? ups : downs) += 1;
+    prev_mbps = mbps;
+    ev.at(t, [&link, &mid_flight, mbps] {
+      if (link.qdisc().backlog_packets() > 0) ++mid_flight;
+      link.set_rate(Rate::mbps(mbps));
+    });
+  }
+  // Bursts of mixed sizes every 10 ms keep the queue backing up and draining.
+  for (int i = 0; i < 40; ++i) {
+    ev.at(Time::ms(10 * i), [&link, i] {
+      for (int k = 0; k < 40; ++k) link.send(make_data(1, 200 + 100 * ((i + k) % 14)));
+    });
+  }
+  sched.run_until(Time::sec(10.0));
+
+  EXPECT_GT(ups, 2000);
+  EXPECT_GT(downs, 2000);
+  EXPECT_GT(mid_flight, 2000);
+  const QdiscStats& qs = link.qdisc().stats();
+  EXPECT_EQ(qs.dropped_packets, 0u);
+  EXPECT_EQ(qs.dequeued_packets, 1600u);
+  EXPECT_EQ(link.stats().packets_sent, qs.dequeued_packets);
+  ASSERT_EQ(sink.arrival_times.size(), qs.dequeued_packets);
+  for (std::size_t i = 1; i < sink.arrival_times.size(); ++i) {
+    ASSERT_LE(sink.arrival_times[i - 1], sink.arrival_times[i]) << "arrival " << i;
+  }
+  EXPECT_EQ(sched.packets().live(), 0u);
 }
 
 TEST(Link, TxTapSeesEveryPacket) {
@@ -325,9 +392,10 @@ TEST(Link, TxTapSeesEveryPacket) {
 
 TEST(DelayLine, AddsFixedDelay) {
   Scheduler sched;
+  ClosureEvents ev{sched};
   CollectingSink sink{sched};
   DelayLine line{sched, Time::ms(7), sink};
-  sched.schedule_at(Time::ms(3), [&] { line.deliver(make_data(1, 100)); });
+  ev.at(Time::ms(3), [&] { line.deliver(make_data(1, 100)); });
   sched.run_until(Time::sec(1.0));
   ASSERT_EQ(sink.arrival_times.size(), 1u);
   EXPECT_EQ(sink.arrival_times[0], Time::ms(10));
