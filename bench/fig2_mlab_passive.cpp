@@ -22,8 +22,10 @@
 //   --strict         fail fast on the first corrupt shard/record instead of
 //                    the default skip-count-and-continue degradation
 //
-// The default invocation (neither flag) runs the legacy in-memory study and
-// its output is byte-identical to the pre-store version of this bench.
+// The default invocation (neither flag) runs the paper-scale dataset in
+// memory through the same pipeline, keeping per-flow findings for the
+// ground-truth breakdown and shift-magnitude CDF; its output is the same
+// at any --jobs.
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -34,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/passive_study.hpp"
 #include "bench/cli.hpp"
 #include "bench/progress.hpp"
 #include "ingest/report.hpp"
@@ -111,7 +112,7 @@ struct ScratchStore {
   }
 };
 
-// ---------- the paper-scale (legacy, in-memory) path ----------
+// ---------- the paper-scale (in-memory, findings-keeping) path ----------
 
 int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
   std::ostream& os = cli.output();
@@ -122,12 +123,15 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
   print_banner(os, "Figure 2 / §3.1: passive NDT analysis (" +
                               std::to_string(dataset.size()) + " flows)");
 
-  const auto report = analysis::run_passive_study(dataset);
+  const auto report = pipeline::run_pipeline(
+      pipeline::MemorySource{dataset},
+      {.jobs = cli.serial ? 1 : cli.jobs, .keep_findings = true, .enable_telemetry = false});
+  const auto verdict_counts = report.verdict_map();
 
   TextTable verdicts{{"pipeline verdict", "flows", "fraction"}};
-  for (const auto& [v, c] : report.verdict_counts) {
-    verdicts.add_row({std::string{analysis::to_string(v)}, std::to_string(c),
-                      TextTable::num(static_cast<double>(c) / report.total(), 3)});
+  for (const auto& [v, c] : verdict_counts) {
+    verdicts.add_row({std::string{pipeline::to_string(v)}, std::to_string(c),
+                      TextTable::num(static_cast<double>(c) / report.flows, 3)});
   }
   verdicts.print(os);
 
@@ -136,7 +140,7 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
 
   // Per-archetype confusion: how each ground-truth class was classified.
   print_banner(os, "Ground-truth breakdown (synthetic labels)");
-  std::map<mlab::FlowArchetype, std::map<analysis::Verdict, int>> confusion;
+  std::map<mlab::FlowArchetype, std::map<pipeline::Verdict, int>> confusion;
   std::map<mlab::FlowArchetype, int> totals;
   for (const auto& f : report.findings) {
     ++confusion[f.truth][f.verdict];
@@ -148,9 +152,9 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
     int noshift = 0;
     int suspect = 0;
     for (const auto& [v, c] : row) {
-      if (v == analysis::Verdict::kNoLevelShift) {
+      if (v == pipeline::Verdict::kNoLevelShift) {
         noshift += c;
-      } else if (v == analysis::Verdict::kContentionSuspect) {
+      } else if (v == pipeline::Verdict::kContentionSuspect) {
         suspect += c;
       } else {
         filtered += c;
@@ -184,19 +188,19 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
 
   // Shape check for EXPERIMENTS.md: most flows filtered; suspects a small
   // minority — consistent with "contention is not the dominant factor".
-  const auto suspect_it = report.verdict_counts.find(analysis::Verdict::kContentionSuspect);
+  const auto suspect_it = verdict_counts.find(pipeline::Verdict::kContentionSuspect);
   const double suspects =
-      suspect_it == report.verdict_counts.end()
+      suspect_it == verdict_counts.end()
           ? 0.0
-          : static_cast<double>(suspect_it->second) / static_cast<double>(report.total());
+          : static_cast<double>(suspect_it->second) / static_cast<double>(report.flows);
   os << "\nshape check: filtered=" << TextTable::num(report.filtered_fraction(), 2)
             << " suspect=" << TextTable::num(suspects, 3) << " -> "
             << (report.filtered_fraction() > 0.5 && suspects < 0.2 ? "REPRODUCED"
                                                                    : "NOT reproduced")
             << "\n";
   telemetry::RunReport run_report{"fig2_mlab_passive", seed};
-  for (const auto& [v, c] : report.verdict_counts) {
-    run_report.add_scalar("verdicts", std::string{analysis::to_string(v)},
+  for (const auto& [v, c] : verdict_counts) {
+    run_report.add_scalar("verdicts", std::string{pipeline::to_string(v)},
                           static_cast<double>(c));
   }
   run_report.add_scalar("pipeline", "filtered_fraction", report.filtered_fraction());

@@ -6,8 +6,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analysis/passive_study.hpp"
 #include "mlab/synthetic.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -19,12 +19,13 @@ int main(int argc, char** argv) {
 
   std::cout << "generating " << scfg.n_flows << " synthetic NDT flow records...\n";
   const auto dataset = mlab::generate_dataset(scfg, rng);
-  const auto report = analysis::run_passive_study(dataset);
+  const auto report =
+      pipeline::run_pipeline(pipeline::MemorySource{dataset}, {.enable_telemetry = false});
 
   TextTable t{{"verdict", "flows", "fraction"}};
-  for (const auto& [v, c] : report.verdict_counts) {
-    t.add_row({std::string{analysis::to_string(v)}, std::to_string(c),
-               TextTable::num(static_cast<double>(c) / report.total(), 3)});
+  for (const auto& [v, c] : report.verdict_map()) {
+    t.add_row({std::string{pipeline::to_string(v)}, std::to_string(c),
+               TextTable::num(static_cast<double>(c) / report.flows, 3)});
   }
   t.print(std::cout);
 

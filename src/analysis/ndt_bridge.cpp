@@ -8,17 +8,18 @@ mlab::NdtRecord make_ndt_record(const telemetry::FlowMonitor& monitor, std::uint
   rec.id = id;
   rec.truth = truth;
   rec.access = access;
-  rec.app_limited_sec = monitor.app_limited_sec();
-  rec.rwnd_limited_sec = monitor.rwnd_limited_sec();
   rec.throughput_mbps = monitor.throughput_series_mbps();
 
   const auto& snaps = monitor.snapshots();
   if (!snaps.empty()) {
-    rec.duration_sec = snaps.back().t_sec - snaps.front().t_sec + 0.1;
+    const double interval_sec = monitor.snapshot_interval().to_sec();
+    // The first snapshot closes the first interval, so the record spans
+    // one interval more than the snapshot timestamps do.
+    rec.duration_sec = snaps.back().t_sec - snaps.front().t_sec + interval_sec;
+    rec.snapshot_interval_sec = interval_sec;
     rec.min_rtt_ms = snaps.back().min_rtt_ms;
-    if (snaps.size() >= 2) {
-      rec.snapshot_interval_sec = snaps[1].t_sec - snaps[0].t_sec;
-    }
+    rec.app_limited_sec = snaps.back().app_limited_sec;
+    rec.rwnd_limited_sec = snaps.back().rwnd_limited_sec;
     double sum = 0.0;
     for (double x : rec.throughput_mbps) sum += x;
     rec.mean_throughput_mbps =

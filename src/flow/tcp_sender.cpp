@@ -16,7 +16,8 @@ TcpSender::TcpSender(sim::Scheduler& sched, SenderConfig cfg,
       cc_{std::move(cc)},
       app_{source},
       out_{out},
-      rto_{cfg.initial_rto} {
+      rto_{cfg.initial_rto},
+      limit_since_{sched.now()} {
   assert(cc_ != nullptr);
   app_.set_data_ready_hook([this] {
     if (started_ && !completed_) try_send();
@@ -62,6 +63,20 @@ void TcpSender::on_start_fire() {
   try_send();
 }
 
+void TcpSender::set_limit(SendLimit limit) {
+  if (limit == limit_) return;
+  const Time now = sched_.now();
+  limited_time_[static_cast<std::size_t>(limit_)] += now - limit_since_;
+  limit_ = limit;
+  limit_since_ = now;
+}
+
+Time TcpSender::limited_time(SendLimit limit) const {
+  Time t = limited_time_[static_cast<std::size_t>(limit)];
+  if (limit == limit_) t += sched_.now() - limit_since_;
+  return t;
+}
+
 ByteCount TcpSender::send_window() const { return std::min(cc_->cwnd_bytes(), rwnd_); }
 
 void TcpSender::try_send() {
@@ -85,7 +100,7 @@ void TcpSender::try_send() {
     const ByteCount pipe = pipe_bytes();
     const ByteCount app_avail = app_.bytes_available(now);
     if (app_avail <= 0) {
-      limit_ = app_.finished(now) ? SendLimit::kDone : SendLimit::kApp;
+      set_limit(SendLimit::kApp);  // kDone waits for the last ACK
       maybe_complete();
       return;
     }
@@ -94,7 +109,7 @@ void TcpSender::try_send() {
     // window, which would flood the path with tiny packets.
     const ByteCount len = std::min(cfg_.mss, app_avail);
     if (pipe + len > wnd) {
-      limit_ = cc_->cwnd_bytes() <= rwnd_ ? SendLimit::kCca : SendLimit::kRwnd;
+      set_limit(cc_->cwnd_bytes() <= rwnd_ ? SendLimit::kCca : SendLimit::kRwnd);
       return;
     }
     // Pacing: honor the CCA's rate if it supplies one.
@@ -105,7 +120,7 @@ void TcpSender::try_send() {
         pacing_event_ =
             sched_.schedule_member_at<&TcpSender::on_pacing_fire>(next_send_time_, this);
       }
-      limit_ = SendLimit::kNone;  // limited only by pacing spacing
+      set_limit(SendLimit::kNone);  // limited only by pacing spacing
       return;
     }
 
@@ -449,7 +464,7 @@ void TcpSender::maybe_complete() {
   if (completed_) return;
   if (!app_.finished(sched_.now()) || inflight_bytes() > 0) return;
   completed_ = true;
-  limit_ = SendLimit::kDone;
+  set_limit(SendLimit::kDone);
   sched_.cancel(rto_event_);
   sched_.cancel(pacing_event_);
   if (on_complete_) on_complete_(sched_.now());

@@ -8,9 +8,12 @@
 //     mechanism whose starvation effects E6 reproduces),
 //   - optional pacing when the CCA supplies a rate (BBR, Copa, Nimbus),
 //   - app-limited tracking (the sender knows *why* it is not sending, which
-//     is exactly the TCPInfo signal the paper's §3.1 M-Lab analysis keys on).
+//     is exactly the TCPInfo signal the paper's §3.1 M-Lab analysis keys on),
+//     with exact cumulative time per limit, kept the way the kernel's
+//     tcp_chrono timers keep tcpi_busy_time and tcpi_rwnd_limited.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -33,8 +36,9 @@ enum class SendLimit {
   kNone,  ///< actively sending / window not yet filled
   kCca,   ///< congestion window full
   kRwnd,  ///< receiver window full
-  kApp,   ///< application had no data (AppLimited in TCPInfo terms)
-  kDone,  ///< flow finished
+  kApp,   ///< application had no data (AppLimited in TCPInfo terms),
+          ///< including a finished app whose last bytes await their ACKs
+  kDone,  ///< flow completed: the app finished and every byte is ACKed
 };
 
 struct SenderConfig {
@@ -92,6 +96,10 @@ class TcpSender : public sim::PacketSink {
   [[nodiscard]] const cca::CongestionControl& cc() const { return *cc_; }
   [[nodiscard]] cca::CongestionControl& cc() { return *cc_; }
   [[nodiscard]] SendLimit current_limit() const { return limit_; }
+  /// Cumulative time spent under `limit` since construction, including the
+  /// interval still open. The five limits partition the sender's lifetime
+  /// exactly: they always sum to now() minus the construction time.
+  [[nodiscard]] Time limited_time(SendLimit limit) const;
   [[nodiscard]] bool completed() const { return completed_; }
   [[nodiscard]] sim::FlowId flow_id() const { return cfg_.flow_id; }
 
@@ -138,6 +146,9 @@ class TcpSender : public sim::PacketSink {
   void arm_rto();
   void on_rto_fire();
   void maybe_complete();
+  /// Every change of limit_ goes through here, closing the outgoing limit's
+  /// interval into its limited_time_ bucket.
+  void set_limit(SendLimit limit);
   [[nodiscard]] ByteCount send_window() const;
 
   sim::Scheduler& sched_;
@@ -187,6 +198,9 @@ class TcpSender : public sim::PacketSink {
   bool pacing_wake_armed_{false};
 
   SendLimit limit_{SendLimit::kNone};
+  Time limit_since_;  ///< when limit_ last changed
+  /// Closed intervals per limit, indexed by SendLimit (kDone is the last).
+  std::array<Time, static_cast<std::size_t>(SendLimit::kDone) + 1> limited_time_{};
   bool started_{false};
   bool completed_{false};
   SenderStats stats_;

@@ -7,7 +7,9 @@
 //      be valid.
 //   2. Sinusoidal rate pulses at fp (mean-neutral) overlaid on the base rate.
 //   3. A cross-traffic rate estimator  z = mu * rin/rout - rin  sampled on a
-//      fixed grid, fed to the FFT elasticity metric.
+//      fixed grid, fed to the FFT elasticity metric. elasticity() always
+//      runs that full FFT; the elastic service's streaming detector reads
+//      the same z samples through set_z_tap and is scored against it.
 //   4. A mode switcher (delay mode <-> TCP-competitive mode). The paper's
 //      measurement methodology runs with mode switching DISABLED (the
 //      default here), keeping the pulses and reporting elasticity.
@@ -102,15 +104,6 @@ class NimbusCca : public cca::CongestionControl {
   /// tap never changes the CCA's behavior. Pass nullptr to detach.
   void set_z_tap(std::function<void(double)> tap) { z_tap_ = std::move(tap); }
 
-  /// Opt into a streaming elasticity engine: the estimator is fed every z
-  /// sample, and once it reports ready(), elasticity() asks it instead of
-  /// running the full-FFT metric. Detached (the default, or est == nullptr),
-  /// the full-FFT path runs unchanged. Mode switching is off by default, so
-  /// attaching an estimator does not alter the probe's dynamics; with mode
-  /// switching enabled the estimator's eta drives the switcher. The pointer
-  /// is non-owning and must outlive the CCA or be detached first.
-  void attach_elasticity_estimator(ElasticityEstimator* est) { estimator_ = est; }
-
   /// Registers `<prefix>.mode_transitions` (counter) and `<prefix>.mode`
   /// (timeline, values = Mode enum) in `reg`.
   void bind_metrics(telemetry::MetricRegistry& reg, const std::string& prefix) override;
@@ -160,8 +153,7 @@ class NimbusCca : public cca::CongestionControl {
   double last_z_bps_{0.0};         ///< zero-order hold for empty bins
   std::deque<double> z_series_;    ///< one entry per sample bin
   std::size_t max_bins_{0};
-  std::function<void(double)> z_tap_;           ///< observation-only z stream
-  ElasticityEstimator* estimator_{nullptr};     ///< opt-in streaming engine
+  std::function<void(double)> z_tap_;  ///< observation-only z stream
   /// Spectrum scratch reused across elasticity windows (elasticity() is
   /// const; the scratch is not observable state).
   mutable SpectrumWorkspace fft_ws_;

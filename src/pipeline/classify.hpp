@@ -16,9 +16,9 @@
 // the pre-pipeline analysis; `fixed` screens exactly the first
 // `early_exit_window_sec`; `adaptive` keeps reading while the CUSUM
 // statistic sits in an uncertain band, trading bytes read against
-// accuracy per flow instead of per config. This enum/logic used to live
-// in analysis::passive_study, which now re-exports it
-// (src/analysis/passive_study.hpp).
+// accuracy per flow instead of per config. This header is the only home
+// of the §3.1 taxonomy; clients call it directly or through the stage API
+// (stage.hpp) that run_pipeline and the ingest daemon drive.
 #pragma once
 
 #include <cstdint>

@@ -90,7 +90,7 @@ struct PipelineResult {
   /// Fraction of flows the filters removed before the change-point stage.
   [[nodiscard]] double filtered_fraction() const;
   /// Verdict counts as a map, zero-count verdicts omitted (the shape the
-  /// legacy StudyReport and the fig2 table code expect).
+  /// fig2 table code expects).
   [[nodiscard]] std::map<Verdict, std::size_t> verdict_map() const;
 };
 

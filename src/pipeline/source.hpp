@@ -32,8 +32,7 @@ class FlowSource {
 };
 
 /// The in-memory path: wraps an existing std::vector<NdtRecord> dataset
-/// (synthetic or CSV-loaded). Keeps the legacy analysis API alive on top of
-/// the pipeline.
+/// (synthetic or CSV-loaded), e.g. fig2's paper-scale dataset.
 class MemorySource final : public FlowSource {
  public:
   explicit MemorySource(std::span<const mlab::NdtRecord> dataset) : dataset_{dataset} {}

@@ -1,11 +1,11 @@
 // The streaming stage interface — one analysis API under the offline
-// pipeline, the legacy passive study, and the ingest daemon.
+// pipeline (run_pipeline, which fig2 uses at every scale) and the ingest
+// daemon.
 //
-// PR 3's pipeline hard-wired "index a FlowSource from begin to end" into
-// run_pipeline and duplicated the per-record loop in run_passive_study. A
-// long-running service can't be written against that shape: its input has
-// no size(), arrives in bursts, and never ends. This header splits the loop
-// into the two halves every client composes:
+// A long-running service can't be written against "index a FlowSource
+// from begin to end": its input has no size(), arrives in bursts, and never
+// ends. This header splits the per-record loop into the two halves every
+// client composes:
 //
 //   PullSource  — "give me up to N flows"; reports kBlocked (stream idle,
 //                 more may come) and kEnd (exhausted) instead of assuming a

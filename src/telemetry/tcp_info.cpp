@@ -3,33 +3,11 @@
 namespace ccc::telemetry {
 
 FlowMonitor::FlowMonitor(sim::Scheduler& sched, const flow::TcpSender& sender, Time start,
-                         Time stop, Time snapshot_interval, Time poll_interval)
+                         Time stop, Time snapshot_interval)
     : sender_{sender},
-      poll_interval_{poll_interval},
-      poller_{sched, poll_interval, start, stop, [this](Time now) { poll(now); }},
+      snapshot_interval_{snapshot_interval},
       snapshotter_{sched, snapshot_interval, start + snapshot_interval, stop,
                    [this](Time now) { snapshot(now); }} {}
-
-void FlowMonitor::poll(Time now) {
-  (void)now;
-  // Integrate the sender's current blocking reason over the poll interval —
-  // the same integral the kernel keeps for tcpi_busy_time & friends.
-  const double dt = poll_interval_.to_sec();
-  switch (sender_.current_limit()) {
-    case flow::SendLimit::kApp:
-      app_limited_sec_ += dt;
-      break;
-    case flow::SendLimit::kRwnd:
-      rwnd_limited_sec_ += dt;
-      break;
-    case flow::SendLimit::kCca:
-      cca_limited_sec_ += dt;
-      break;
-    case flow::SendLimit::kNone:
-    case flow::SendLimit::kDone:
-      break;
-  }
-}
 
 void FlowMonitor::snapshot(Time now) {
   TcpInfoSnapshot s;
@@ -43,9 +21,9 @@ void FlowMonitor::snapshot(Time now) {
   s.srtt_ms = sender_.srtt().to_ms();
   s.min_rtt_ms = sender_.min_rtt() == Time::never() ? 0.0 : sender_.min_rtt().to_ms();
   s.cwnd_bytes = sender_.cc().cwnd_bytes();
-  s.app_limited_sec = app_limited_sec_;
-  s.rwnd_limited_sec = rwnd_limited_sec_;
-  s.cca_limited_sec = cca_limited_sec_;
+  s.app_limited_sec = sender_.limited_time(flow::SendLimit::kApp).to_sec();
+  s.rwnd_limited_sec = sender_.limited_time(flow::SendLimit::kRwnd).to_sec();
+  s.cca_limited_sec = sender_.limited_time(flow::SendLimit::kCca).to_sec();
   s.retransmissions = sender_.stats().retransmissions;
   last_snapshot_bytes_ = s.bytes_acked;
   last_snapshot_t_ = s.t_sec;

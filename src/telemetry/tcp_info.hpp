@@ -4,10 +4,11 @@
 // analysis (§3.1) keys on AppLimited / RWndLimited time and throughput
 // evolution. FlowMonitor produces exactly those measurements for simulated
 // flows, letting integration tests validate the passive pipeline against
-// ground truth the real M-Lab data lacks.
+// ground truth the real M-Lab data lacks. The limit times are the sender's
+// own exact counters (TcpSender::limited_time); the monitor only copies
+// them into a snapshot every interval.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "flow/tcp_sender.hpp"
@@ -23,46 +24,39 @@ struct TcpInfoSnapshot {
   double srtt_ms{0.0};
   double min_rtt_ms{0.0};
   ByteCount cwnd_bytes{0};
-  double app_limited_sec{0.0};   ///< cumulative (the NDT AppLimited field)
-  double rwnd_limited_sec{0.0};  ///< cumulative (the NDT RWndLimited field)
-  double cca_limited_sec{0.0};   ///< cumulative time the cwnd was binding
+  /// Cumulative since the sender was constructed, as NDT archives them.
+  double app_limited_sec{0.0};   ///< the NDT AppLimited field
+  double rwnd_limited_sec{0.0};  ///< the NDT RWndLimited field
+  double cca_limited_sec{0.0};   ///< time the cwnd was binding
   std::uint64_t retransmissions{0};
 };
 
-/// Attaches to one sender: polls at a fine interval to integrate limit
-/// durations, and records a snapshot every `snapshot_interval`.
+/// Attaches to one sender and records a snapshot every `snapshot_interval`
+/// in [start + snapshot_interval, stop).
 class FlowMonitor {
  public:
   FlowMonitor(sim::Scheduler& sched, const flow::TcpSender& sender, Time start, Time stop,
-              Time snapshot_interval = Time::ms(100), Time poll_interval = Time::ms(5));
+              Time snapshot_interval = Time::ms(100));
 
   FlowMonitor(const FlowMonitor&) = delete;
   FlowMonitor& operator=(const FlowMonitor&) = delete;
 
   [[nodiscard]] const std::vector<TcpInfoSnapshot>& snapshots() const { return snapshots_; }
+  [[nodiscard]] Time snapshot_interval() const { return snapshot_interval_; }
   /// Throughput series (Mbps per snapshot interval) — the input the
   /// change-point stage of the passive pipeline expects.
   [[nodiscard]] std::vector<double> throughput_series_mbps() const;
 
-  [[nodiscard]] double app_limited_sec() const { return app_limited_sec_; }
-  [[nodiscard]] double rwnd_limited_sec() const { return rwnd_limited_sec_; }
-  [[nodiscard]] double cca_limited_sec() const { return cca_limited_sec_; }
-
  private:
-  void poll(Time now);
   void snapshot(Time now);
 
   const flow::TcpSender& sender_;
-  Time poll_interval_;
+  Time snapshot_interval_;
 
-  double app_limited_sec_{0.0};
-  double rwnd_limited_sec_{0.0};
-  double cca_limited_sec_{0.0};
   ByteCount last_snapshot_bytes_{0};
   double last_snapshot_t_{0.0};
   std::vector<TcpInfoSnapshot> snapshots_;
 
-  PeriodicSampler poller_;
   PeriodicSampler snapshotter_;
 };
 

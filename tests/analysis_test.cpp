@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "analysis/fairness.hpp"
-#include "analysis/passive_study.hpp"
 #include "mlab/synthetic.hpp"
+#include "pipeline/pipeline.hpp"
 
 namespace ccc::analysis {
 namespace {
+
+using pipeline::ClassifyConfig;
+using pipeline::Verdict;
 
 mlab::SyntheticConfig cfg_small() {
   mlab::SyntheticConfig cfg;
@@ -14,17 +17,22 @@ mlab::SyntheticConfig cfg_small() {
   return cfg;
 }
 
+/// The whole study over an in-memory dataset, per-flow findings kept.
+pipeline::PipelineResult run_study(const std::vector<mlab::NdtRecord>& ds) {
+  return pipeline::run_pipeline(pipeline::MemorySource{ds}, {.jobs = 1, .keep_findings = true});
+}
+
 TEST(PassiveStudy, FiltersAppLimitedFlows) {
   Rng rng{1};
   const auto rec = generate_record(mlab::FlowArchetype::kAppLimitedConstant, cfg_small(), rng);
-  const auto f = classify_flow(rec, PassiveConfig{});
+  const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
   EXPECT_EQ(f.verdict, Verdict::kFilteredAppLimited);
 }
 
 TEST(PassiveStudy, FiltersRwndLimitedFlows) {
   Rng rng{2};
   const auto rec = generate_record(mlab::FlowArchetype::kRwndLimited, cfg_small(), rng);
-  const auto f = classify_flow(rec, PassiveConfig{});
+  const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
   EXPECT_EQ(f.verdict, Verdict::kFilteredRwndLimited);
 }
 
@@ -32,11 +40,11 @@ TEST(PassiveStudy, FiltersShortFlows) {
   Rng rng{3};
   for (int i = 0; i < 20; ++i) {
     const auto rec = generate_record(mlab::FlowArchetype::kShortFlow, cfg_small(), rng);
-    const auto f = classify_flow(rec, PassiveConfig{});
+    const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
     // Short flows are filtered as short (or occasionally as app-limited).
     EXPECT_TRUE(f.verdict == Verdict::kFilteredShort ||
                 f.verdict == Verdict::kFilteredAppLimited)
-        << to_string(f.verdict);
+        << pipeline::to_string(f.verdict);
   }
 }
 
@@ -46,7 +54,7 @@ TEST(PassiveStudy, FlagsContendedBulkFlows) {
   int eligible = 0;
   for (int i = 0; i < 60; ++i) {
     const auto rec = generate_record(mlab::FlowArchetype::kBulkContended, cfg_small(), rng);
-    const auto f = classify_flow(rec, PassiveConfig{});
+    const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
     if (f.verdict == Verdict::kFilteredCellular) continue;
     ++eligible;
     flagged += f.verdict == Verdict::kContentionSuspect;
@@ -61,7 +69,7 @@ TEST(PassiveStudy, CleanBulkMostlyUnflagged) {
   int eligible = 0;
   for (int i = 0; i < 60; ++i) {
     const auto rec = generate_record(mlab::FlowArchetype::kBulkClean, cfg_small(), rng);
-    const auto f = classify_flow(rec, PassiveConfig{});
+    const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
     if (f.verdict == Verdict::kFilteredCellular) continue;
     ++eligible;
     flagged += f.verdict == Verdict::kContentionSuspect;
@@ -78,7 +86,7 @@ TEST(PassiveStudy, PolicedFlowsAliasAsContention) {
   int eligible = 0;
   for (int i = 0; i < 60; ++i) {
     const auto rec = generate_record(mlab::FlowArchetype::kPoliced, cfg_small(), rng);
-    const auto f = classify_flow(rec, PassiveConfig{});
+    const auto f = pipeline::classify_flow(rec, ClassifyConfig{});
     if (f.verdict == Verdict::kFilteredCellular) continue;
     ++eligible;
     flagged += f.verdict == Verdict::kContentionSuspect;
@@ -92,19 +100,19 @@ TEST(PassiveStudy, CellularExclusionToggle) {
   mlab::SyntheticConfig scfg = cfg_small();
   scfg.frac_cellular = 1.0;  // everyone cellular
   const auto rec = generate_record(mlab::FlowArchetype::kBulkClean, scfg, rng);
-  PassiveConfig on;
-  PassiveConfig off;
+  ClassifyConfig on;
+  ClassifyConfig off;
   off.exclude_cellular = false;
-  EXPECT_EQ(classify_flow(rec, on).verdict, Verdict::kFilteredCellular);
-  EXPECT_NE(classify_flow(rec, off).verdict, Verdict::kFilteredCellular);
+  EXPECT_EQ(pipeline::classify_flow(rec, on).verdict, Verdict::kFilteredCellular);
+  EXPECT_NE(pipeline::classify_flow(rec, off).verdict, Verdict::kFilteredCellular);
 }
 
 TEST(PassiveStudy, FullStudyCountsAddUp) {
   Rng rng{8};
   const auto ds = generate_dataset(cfg_small(), rng);
-  const auto report = run_passive_study(ds);
+  const auto report = run_study(ds);
   std::size_t total = 0;
-  for (const auto& [v, c] : report.verdict_counts) total += c;
+  for (const auto& [v, c] : report.verdict_map()) total += c;
   EXPECT_EQ(total, ds.size());
   EXPECT_EQ(report.findings.size(), ds.size());
   EXPECT_EQ(report.true_positives + report.false_positives + report.false_negatives +
@@ -117,7 +125,7 @@ TEST(PassiveStudy, MajorityFiltered) {
   // change-point stage because they are app/rwnd-limited, short, or cellular.
   Rng rng{9};
   const auto ds = generate_dataset(cfg_small(), rng);
-  const auto report = run_passive_study(ds);
+  const auto report = run_study(ds);
   EXPECT_GT(report.filtered_fraction(), 0.5);
 }
 
@@ -126,7 +134,7 @@ TEST(PassiveStudy, PrecisionBelowOneBecauseOfPolicing) {
   mlab::SyntheticConfig scfg = cfg_small();
   scfg.n_flows = 2000;
   const auto ds = generate_dataset(scfg, rng);
-  const auto report = run_passive_study(ds);
+  const auto report = run_study(ds);
   // There are contended flows and policed flows; the pipeline must catch
   // most contended ones (recall) but its precision suffers from policing.
   EXPECT_GT(report.recall(), 0.6);

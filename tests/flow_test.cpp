@@ -3,6 +3,7 @@
 // single dumbbell.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "app/bulk.hpp"
@@ -108,6 +109,53 @@ TEST(TcpFlow, AppLimitedFlowReportsAppLimit) {
   const double mbps = net.goodput_mbps_since(0, snap, Time::sec(5.0));
   EXPECT_NEAR(mbps, 2.0, 0.3);
   EXPECT_EQ(net.flow(0).sender().current_limit(), SendLimit::kApp);
+}
+
+// ---------- exact limit-time counters ----------
+
+constexpr std::array kAllLimits{SendLimit::kNone, SendLimit::kCca, SendLimit::kRwnd,
+                                SendLimit::kApp, SendLimit::kDone};
+
+TEST(SendLimitTime, BucketsPartitionTheSendersLifetimeExactly) {
+  // A 2 Mbit/s app behind a 4-segment receive window (~2.2 Mbit/s at this
+  // RTT) spends time both app-limited and rwnd-limited. The sender is built
+  // at 0.5 s and starts at 1 s, so the idle time before start counts too.
+  core::DumbbellScenario net{small_net()};
+  const Time built = Time::ms(500);
+  net.run_until(built);
+  auto app = std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(2));
+  net.add_flow(std::make_unique<cca::NewReno>(), std::move(app), 1, Time::sec(1.0),
+               /*receiver_window=*/4 * 1448);
+  const TcpSender& sender = net.flow(0).sender();
+
+  std::array<Time, kAllLimits.size()> prev{};
+  for (const Time until : {built, Time::ms(999), Time::sec(1.0), Time::ms(1234), Time::sec(3.0),
+                           Time::ms(7777), Time::sec(10.0)}) {
+    net.run_until(until);
+    Time sum = Time::zero();
+    for (std::size_t i = 0; i < kAllLimits.size(); ++i) {
+      const Time t = sender.limited_time(kAllLimits[i]);
+      EXPECT_GE(t.count_ns(), prev[i].count_ns()) << "limit " << i << " at " << until.to_sec();
+      prev[i] = t;
+      sum += t;
+    }
+    EXPECT_EQ(sum.count_ns(), (until - built).count_ns()) << "at " << until.to_sec();
+  }
+  EXPECT_GT(sender.limited_time(SendLimit::kApp), Time::sec(1.0));
+  EXPECT_GT(sender.limited_time(SendLimit::kRwnd), Time::sec(1.0));
+  EXPECT_EQ(sender.limited_time(SendLimit::kDone), Time::zero());
+}
+
+TEST(SendLimitTime, DoneTimeStartsAtCompletion) {
+  core::DumbbellScenario net{small_net()};
+  net.add_flow(std::make_unique<cca::NewReno>(), std::make_unique<app::BulkApp>(200'000));
+  Time done = Time::never();
+  net.flow(0).sender().set_on_complete([&](Time t) { done = t; });
+  const Time end = Time::sec(5.0);
+  net.run_until(end);
+  ASSERT_LT(done, end);
+  EXPECT_EQ(net.flow(0).sender().limited_time(SendLimit::kDone).count_ns(),
+            (end - done).count_ns());
 }
 
 TEST(TcpFlow, TwoRenoFlowsShareFairly) {

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "analysis/passive_study.hpp"
 #include "mlab/synthetic.hpp"
 #include "pipeline/pipeline.hpp"
 #include "store/convert.hpp"
@@ -40,18 +39,26 @@ std::string fingerprint(const PipelineResult& r) {
   return report.to_jsonl();
 }
 
+// A serial run with the whole dataset in one shard and a 256-flow-shard run
+// agree field for field.
 TEST(Pipeline, MatchesLegacyPassiveStudy) {
   const auto dataset = make_dataset(2000);
-  const auto legacy = analysis::run_passive_study(dataset);
-
   MemorySource src{dataset};
+  PipelineConfig single;
+  single.jobs = 1;
+  single.shard_flows = dataset.size();
+  single.keep_findings = true;
+  single.enable_telemetry = false;
+  const auto legacy = run_pipeline(src, single);
+  ASSERT_EQ(legacy.shards, 1u);
+
   PipelineConfig cfg;
   cfg.jobs = 1;
   cfg.shard_flows = 256;
   cfg.keep_findings = true;
   const auto res = run_pipeline(src, cfg);
 
-  EXPECT_EQ(res.verdict_map(), legacy.verdict_counts);
+  EXPECT_EQ(res.verdict_map(), legacy.verdict_map());
   EXPECT_EQ(res.true_positives, legacy.true_positives);
   EXPECT_EQ(res.false_positives, legacy.false_positives);
   EXPECT_EQ(res.false_negatives, legacy.false_negatives);

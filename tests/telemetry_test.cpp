@@ -76,8 +76,9 @@ TEST(FlowMonitor, AppLimitedTimeDominatesForSlowApp) {
   net.add_flow(std::make_unique<cca::NewReno>(), std::move(app));
   FlowMonitor mon{net.scheduler(), net.flow(0).sender(), Time::zero(), Time::sec(10.0)};
   net.run_until(Time::sec(10.0));
-  EXPECT_GT(mon.app_limited_sec(), 5.0);
-  EXPECT_LT(mon.rwnd_limited_sec(), 1.0);
+  const auto& last = mon.snapshots().back();
+  EXPECT_GT(last.app_limited_sec, 5.0);
+  EXPECT_LT(last.rwnd_limited_sec, 1.0);
 }
 
 TEST(FlowMonitor, RwndLimitedTimeDominatesForSmallWindow) {
@@ -86,8 +87,9 @@ TEST(FlowMonitor, RwndLimitedTimeDominatesForSmallWindow) {
                Time::zero(), /*receiver_window=*/6 * 1448);
   FlowMonitor mon{net.scheduler(), net.flow(0).sender(), Time::zero(), Time::sec(10.0)};
   net.run_until(Time::sec(10.0));
-  EXPECT_GT(mon.rwnd_limited_sec(), 5.0);
-  EXPECT_LT(mon.app_limited_sec(), 1.0);
+  const auto& last = mon.snapshots().back();
+  EXPECT_GT(last.rwnd_limited_sec, 5.0);
+  EXPECT_LT(last.app_limited_sec, 1.0);
 }
 
 TEST(FlowMonitor, SnapshotsCarryRttAndCwnd) {

@@ -4,13 +4,13 @@
 #include <memory>
 
 #include "analysis/ndt_bridge.hpp"
-#include "analysis/passive_study.hpp"
 #include "analysis/tslp.hpp"
 #include "app/bulk.hpp"
 #include "app/rate_limited.hpp"
 #include "app/stop_at.hpp"
 #include "cca/cubic.hpp"
 #include "core/dumbbell.hpp"
+#include "pipeline/classify.hpp"
 #include "telemetry/tcp_info.hpp"
 
 namespace ccc {
@@ -83,8 +83,8 @@ TEST(NdtBridge, AppLimitedSimFlowIsFilteredByPipeline) {
   net.run_until(Time::sec(10.0));
   const auto rec = analysis::make_ndt_record(mon, 1, mlab::FlowArchetype::kAppLimitedConstant);
   EXPECT_GT(rec.app_limited_sec, 3.0);
-  const auto f = analysis::classify_flow(rec, analysis::PassiveConfig{});
-  EXPECT_EQ(f.verdict, analysis::Verdict::kFilteredAppLimited);
+  const auto f = pipeline::classify_flow(rec, pipeline::ClassifyConfig{});
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kFilteredAppLimited);
 }
 
 TEST(NdtBridge, RwndLimitedSimFlowIsFilteredByPipeline) {
@@ -95,8 +95,8 @@ TEST(NdtBridge, RwndLimitedSimFlowIsFilteredByPipeline) {
                              Time::sec(10.0)};
   net.run_until(Time::sec(10.0));
   const auto rec = analysis::make_ndt_record(mon, 2, mlab::FlowArchetype::kRwndLimited);
-  const auto f = analysis::classify_flow(rec, analysis::PassiveConfig{});
-  EXPECT_EQ(f.verdict, analysis::Verdict::kFilteredRwndLimited);
+  const auto f = pipeline::classify_flow(rec, pipeline::ClassifyConfig{});
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kFilteredRwndLimited);
 }
 
 TEST(NdtBridge, ContendedSimFlowIsFlaggedByPipeline) {
@@ -115,10 +115,10 @@ TEST(NdtBridge, ContendedSimFlowIsFlaggedByPipeline) {
                2, Time::sec(10.0));
   net.run_until(Time::sec(30.0));
   const auto rec = analysis::make_ndt_record(mon, 3, mlab::FlowArchetype::kBulkContended);
-  analysis::PassiveConfig pcfg;
+  pipeline::ClassifyConfig pcfg;
   pcfg.min_duration_sec = 2.0;
-  const auto f = analysis::classify_flow(rec, pcfg);
-  EXPECT_EQ(f.verdict, analysis::Verdict::kContentionSuspect);
+  const auto f = pipeline::classify_flow(rec, pcfg);
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kContentionSuspect);
   ASSERT_FALSE(f.shift_times_sec.empty());
   // TCP convergence is gradual, so the detected persistent level boundary
   // may land anywhere in the transition; it must at least postdate the
@@ -134,11 +134,11 @@ TEST(NdtBridge, CleanSoloSimFlowIsNotFlagged) {
                              Time::sec(16.0)};
   net.run_until(Time::sec(16.0));
   const auto rec = analysis::make_ndt_record(mon, 4, mlab::FlowArchetype::kBulkClean);
-  analysis::PassiveConfig pcfg;
+  pipeline::ClassifyConfig pcfg;
   pcfg.min_duration_sec = 2.0;
-  const auto f = analysis::classify_flow(rec, pcfg);
-  EXPECT_EQ(f.verdict, analysis::Verdict::kNoLevelShift)
-      << analysis::to_string(f.verdict);
+  const auto f = pipeline::classify_flow(rec, pcfg);
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kNoLevelShift)
+      << pipeline::to_string(f.verdict);
 }
 
 TEST(NdtBridge, RecordCarriesPlausibleMetadata) {
@@ -152,6 +152,38 @@ TEST(NdtBridge, RecordCarriesPlausibleMetadata) {
   EXPECT_NEAR(rec.min_rtt_ms, 21.0, 3.0);
   EXPECT_GT(rec.mean_throughput_mbps, 15.0);
   EXPECT_NEAR(rec.snapshot_interval_sec, 0.1, 0.01);
+}
+
+TEST(NdtBridge, DurationUsesTheMonitorsSnapshotInterval) {
+  // 1 s snapshots over [0, 10 s) land at 1..9 s; the record covers 9 s.
+  core::DumbbellScenario net{net20()};
+  net.add_flow(std::make_unique<cca::Cubic>(), std::make_unique<app::BulkApp>());
+  telemetry::FlowMonitor mon{net.scheduler(), net.flow(0).sender(), Time::zero(),
+                             Time::sec(10.0), Time::sec(1.0)};
+  net.run_until(Time::sec(10.0));
+  ASSERT_EQ(mon.snapshots().size(), 9u);
+  const auto rec = analysis::make_ndt_record(mon, 6, mlab::FlowArchetype::kBulkClean);
+  EXPECT_DOUBLE_EQ(rec.duration_sec, 9.0);
+  EXPECT_DOUBLE_EQ(rec.snapshot_interval_sec, 1.0);
+}
+
+TEST(NdtBridge, LimitFieldsEqualTheSendersCounters) {
+  // A 3 Mbit/s app behind an 8-segment receive window spends time both
+  // app-limited and rwnd-limited. Stopping the run on the last snapshot
+  // makes the sender's live counters the ones that snapshot copied.
+  core::DumbbellScenario net{net20()};
+  auto app = std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(3));
+  net.add_flow(std::make_unique<cca::Cubic>(), std::move(app), 1, Time::zero(),
+               /*receiver_window=*/8 * 1448);
+  const flow::TcpSender& sender = net.flow(0).sender();
+  telemetry::FlowMonitor mon{net.scheduler(), sender, Time::zero(), Time::sec(10.0)};
+  net.run_until(Time::ms(9900));
+  ASSERT_DOUBLE_EQ(mon.snapshots().back().t_sec, 9.9);
+  const auto rec = analysis::make_ndt_record(mon, 7, mlab::FlowArchetype::kAppLimitedConstant);
+  EXPECT_EQ(rec.app_limited_sec, sender.limited_time(flow::SendLimit::kApp).to_sec());
+  EXPECT_EQ(rec.rwnd_limited_sec, sender.limited_time(flow::SendLimit::kRwnd).to_sec());
+  EXPECT_GT(rec.app_limited_sec, 0.0);
+  EXPECT_GT(rec.rwnd_limited_sec, 0.0);
 }
 
 }  // namespace
