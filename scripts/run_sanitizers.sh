@@ -5,12 +5,14 @@
 #          (the concurrency tests: runner pool, telemetry merge, the
 #          jobs-1-vs-jobs-8 pipeline determinism pin)
 #
-#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim"
+#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|transport"
 #          (the corrupt-input suites: the corruption matrix, faultfs drills,
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the event engine's suites,
-#          whose wheel/ready/batch index arithmetic fails the same way)
+#          whose wheel/ready/batch index arithmetic fails the same way, and
+#          the transport/CCA suites, whose SACK-scoreboard cursors and
+#          reassembly buffer do too)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.
@@ -31,10 +33,10 @@ run_job() {
 
 case "${which}" in
   tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim" ;;
+  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport" ;;
   all)
     run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim"
+    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport"
     ;;
   *)
     echo "usage: $0 [tsan|asan|all]" >&2

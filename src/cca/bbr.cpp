@@ -23,11 +23,7 @@ void Bbr::enter_state(State next, Time now) {
   }
 }
 
-Rate Bbr::btlbw() const {
-  Rate best = Rate::zero();
-  for (const auto& [round, r] : bw_samples_) best = std::max(best, r);
-  return best;
-}
+Rate Bbr::btlbw() const { return bw_samples_.max_or(Rate::zero()); }
 
 ByteCount Bbr::bdp_with_gain(double gain) const {
   if (min_rtt_ == Time::never() || btlbw().is_zero()) return initial_cwnd_;
@@ -77,11 +73,10 @@ void Bbr::update_model(const AckEvent& ev) {
   // App-limited samples only count if they beat the current estimate
   // (they prove at least that much capacity exists).
   if (!ev.delivery_rate.is_zero() && (!ev.app_limited || ev.delivery_rate > btlbw())) {
-    bw_samples_.emplace_back(round_, ev.delivery_rate);
+    bw_samples_.push(round_, ev.delivery_rate);
   }
-  while (!bw_samples_.empty() && bw_samples_.front().first + kBwFilterRounds < round_) {
-    bw_samples_.pop_front();
-  }
+  bw_samples_.evict_front_while(
+      [this](std::uint64_t round) { return round + kBwFilterRounds < round_; });
 }
 
 void Bbr::advance_probe_bw_phase(Time now) {

@@ -9,9 +9,8 @@
 // cross-traffic types.
 #pragma once
 
-#include <deque>
-
 #include "cca/cca.hpp"
+#include "util/monotone_max.hpp"
 
 namespace ccc::telemetry {
 class Counter;
@@ -58,8 +57,8 @@ class Bbr : public CongestionControl {
   ByteCount mss_;
   State state_{State::kStartup};
 
-  // Bottleneck-bandwidth windowed max filter: (round index, sample).
-  std::deque<std::pair<std::uint64_t, Rate>> bw_samples_;
+  // Bottleneck-bandwidth windowed max filter, keyed by round index.
+  util::MonotoneMax<std::uint64_t, Rate> bw_samples_;
   std::uint64_t round_{0};
   Time round_started_{Time::zero()};
   Time srtt_{Time::zero()};

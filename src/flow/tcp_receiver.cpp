@@ -1,6 +1,7 @@
 #include "flow/tcp_receiver.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace ccc::flow {
 
@@ -25,20 +26,18 @@ void TcpReceiver::deliver(const sim::Packet& pkt) {
     ++duplicate_packets_;  // spurious retransmission
   } else if (in_order) {
     rcv_nxt_ = end;
-    // Pull any buffered ranges that are now contiguous.
-    for (auto it = ooo_.begin(); it != ooo_.end() && it->first <= rcv_nxt_;) {
-      rcv_nxt_ = std::max(rcv_nxt_, it->second);
-      it = ooo_.erase(it);
+    // Pull the buffered ranges that are now contiguous, in one erase.
+    auto pulled = ooo_.begin();
+    for (; pulled != ooo_.end() && pulled->start <= rcv_nxt_; ++pulled) {
+      rcv_nxt_ = std::max(rcv_nxt_, pulled->end);
+      ooo_bytes_ -= pulled->end - pulled->start;
+    }
+    if (pulled != ooo_.begin()) {
+      ooo_.erase(ooo_.begin(), pulled);
+      if (ooo_.empty()) ooo_.shrink_to_fit();  // release the buffer between loss episodes
     }
   } else {
-    // Out of order: buffer [start, end), merging overlaps.
-    auto [it, inserted] = ooo_.try_emplace(start, end);
-    if (!inserted) it->second = std::max(it->second, end);
-    auto next = std::next(it);
-    while (next != ooo_.end() && next->first <= it->second) {
-      it->second = std::max(it->second, next->second);
-      next = ooo_.erase(next);
-    }
+    buffer_out_of_order(start, end);
   }
 
   // Delayed-ACK policy applies only to clean in-order arrivals; anything
@@ -49,6 +48,29 @@ void TcpReceiver::deliver(const sim::Packet& pkt) {
   } else {
     emit_ack(pkt);
   }
+}
+
+void TcpReceiver::buffer_out_of_order(std::int64_t start, std::int64_t end) {
+  // The first range starting after `start`; only its predecessor can
+  // already hold `start`, and then the bytes go into that range rather than
+  // being stored (and counted) twice.
+  auto it = std::upper_bound(ooo_.begin(), ooo_.end(), start,
+                             [](std::int64_t s, const Range& r) { return s < r.start; });
+  if (it != ooo_.begin() && std::prev(it)->end > start) {
+    --it;
+    ooo_bytes_ -= it->end - it->start;
+    it->end = std::max(it->end, end);
+  } else {
+    it = ooo_.insert(it, Range{start, end});
+  }
+  // Absorb every successor the range now reaches, adjacent ones included.
+  auto next = std::next(it);
+  for (; next != ooo_.end() && next->start <= it->end; ++next) {
+    it->end = std::max(it->end, next->end);
+    ooo_bytes_ -= next->end - next->start;
+  }
+  ooo_bytes_ += it->end - it->start;
+  ooo_.erase(std::next(it), next);
 }
 
 void TcpReceiver::arm_delayed_ack(const sim::Packet& data) {
@@ -76,10 +98,6 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
     delayed_armed_ = false;
   }
 
-  // Coverage: every distinct byte that has arrived so far.
-  std::int64_t coverage = rcv_nxt_;
-  for (const auto& [start, end] : ooo_) coverage += end - start;
-
   sim::Packet ack;
   ack.flow = cfg_.flow_id;
   ack.user = cfg_.user;
@@ -88,7 +106,7 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
   ack.ack_seq = rcv_nxt_;
   ack.echo_sent_at = data.sent_at;
   ack.delivered_bytes = rcv_nxt_;
-  ack.received_total = coverage;
+  ack.received_total = rcv_nxt_ + ooo_bytes_;  // every distinct byte arrived
   ack.receiver_window = cfg_.advertised_window;
   ack.ece = data.ecn_marked;
   ack.sent_at = sched_.now();
@@ -96,9 +114,8 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
   // Report the *highest* ranges: they pin down high_sacked at the sender,
   // which then infers every unsacked segment below it as lost — the
   // information that makes one-RTT burst-loss repair possible.
-  for (auto it = ooo_.rbegin(); it != ooo_.rend(); ++it) {
-    if (ack.n_sack >= sim::Packet::kMaxSack) break;
-    ack.sack[ack.n_sack++] = {it->first, it->second};
+  for (auto it = ooo_.rbegin(); it != ooo_.rend() && ack.n_sack < sim::Packet::kMaxSack; ++it) {
+    ack.sack[ack.n_sack++] = {it->start, it->end};
   }
   ++acks_sent_;
   ack_out_.deliver(ack);

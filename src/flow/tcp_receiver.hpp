@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
@@ -42,6 +42,8 @@ class TcpReceiver : public sim::PacketSink {
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
 
  private:
+  /// Buffers out-of-order bytes [start, end), start > rcv_nxt_.
+  void buffer_out_of_order(std::int64_t start, std::int64_t end);
   void emit_ack(const sim::Packet& data);
   void arm_delayed_ack(const sim::Packet& data);
   void on_delayed_ack_fire();
@@ -50,8 +52,18 @@ class TcpReceiver : public sim::PacketSink {
   ReceiverConfig cfg_;
   sim::PacketSink& ack_out_;
 
+  struct Range {
+    std::int64_t start;
+    std::int64_t end;
+  };
   std::int64_t rcv_nxt_{0};
-  std::map<std::int64_t, std::int64_t> ooo_;  ///< out-of-order ranges: start -> end
+  /// Out-of-order ranges above rcv_nxt_, ascending and disjoint. A range
+  /// absorbs the successors it reaches, so one repair joins the run above
+  /// it; a range that only touches its predecessor stays separate, which
+  /// keeps the newest arrivals in their own SACK blocks. A flat vector, not
+  /// a node-based map: the reassembly buffer frees nothing per packet.
+  std::vector<Range> ooo_;
+  ByteCount ooo_bytes_{0};  ///< total length of ooo_
   std::uint64_t packets_received_{0};
   std::uint64_t duplicate_packets_{0};
   std::uint64_t acks_sent_{0};

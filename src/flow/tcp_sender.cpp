@@ -173,38 +173,42 @@ void TcpSender::transmit(Segment& seg, bool is_retx) {
   if (rto_event_ == 0) arm_rto();
 }
 
-void TcpSender::retransmit_head() {
-  if (segments_.empty()) return;
-  transmit(segments_.front(), /*is_retx=*/true);
+std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_t seq) {
+  return std::partition_point(segments_.begin(), segments_.end(),
+                              [seq](const Segment& s) { return s.seq < seq; });
 }
 
 ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
   if (ack.n_sack == 0) return 0;
   ByteCount newly = 0;
-  for (auto& seg : segments_) {
-    if (seg.sacked) continue;
-    for (int i = 0; i < ack.n_sack; ++i) {
-      if (seg.seq >= ack.sack[i].start && seg.seq + seg.len <= ack.sack[i].end) {
-        seg.sacked = true;
-        newly += seg.len;
-        high_sacked_ = std::max(high_sacked_, seg.seq + seg.len);
-        if (seg.lost) {
-          // It arrived after all (or its repair did): not lost.
-          seg.lost = false;
-          if (!seg.retx_queued) lost_bytes_ -= seg.len;
-        }
-        break;
+  for (int i = 0; i < ack.n_sack; ++i) {
+    // The segments a block covers are a run starting at its first segment.
+    const sim::Packet::SackRange& block = ack.sack[i];
+    for (auto it = first_segment_at(block.start);
+         it != segments_.end() && it->seq + it->len <= block.end; ++it) {
+      Segment& seg = *it;
+      if (seg.sacked) continue;
+      seg.sacked = true;
+      newly += seg.len;
+      high_sacked_ = std::max(high_sacked_, seg.seq + seg.len);
+      if (seg.lost) {
+        // It arrived after all (or its repair did): not lost.
+        seg.lost = false;
+        if (!seg.retx_queued) lost_bytes_ -= seg.len;
       }
     }
   }
   sacked_bytes_ += newly;
 
   // RFC 6675-style loss inference: an unsacked segment with at least
-  // (dupthresh) segments' worth of SACKed data above it is lost.
+  // (dupthresh) segments' worth of SACKed data above it is lost. Everything
+  // below loss_scan_seq_ was settled by an earlier scan.
   const std::int64_t lost_edge =
       high_sacked_ - static_cast<std::int64_t>(cfg_.dupack_threshold - 1) * cfg_.mss;
-  for (auto& seg : segments_) {
-    if (seg.seq + seg.len > lost_edge) break;
+  for (auto it = first_segment_at(loss_scan_seq_);
+       it != segments_.end() && it->seq + it->len <= lost_edge; ++it) {
+    Segment& seg = *it;
+    loss_scan_seq_ = seg.seq + seg.len;
     if (seg.sacked || seg.lost) continue;
     seg.lost = true;
     if (!seg.retx_queued) lost_bytes_ += seg.len;
@@ -220,20 +224,44 @@ ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
 void TcpSender::maybe_retransmit_holes() {
   if (!in_recovery_) return;
   const ByteCount wnd = send_window();
-  for (auto& seg : segments_) {
+  // Segments below hole_scan_seq_ are sacked or already repaired; the
+  // cursor advances over the leading run of such segments this scan meets.
+  bool leading = true;
+  for (auto it = first_segment_at(hole_scan_seq_); it != segments_.end(); ++it) {
+    Segment& seg = *it;
     const bool is_head = seg.seq == snd_una_;
     if (seg.seq + seg.len > high_sacked_ && !is_head) break;  // holes live below high_sacked
-    if (seg.sacked || seg.retx_queued) continue;
-    if (!seg.lost && !is_head) continue;
-    // Window-gate the repairs. The head is exempt — it is the segment whose
-    // absence pins snd_una, so recovery must always be able to resend it
-    // even when the pipe estimate exceeds the shrunken window (everything
-    // else waits; the RTO backstops a lost head repair).
-    if (!is_head && pipe_bytes() + seg.len > wnd) break;
-    if (seg.lost) lost_bytes_ -= seg.len;  // repair goes back into the pipe
-    seg.retx_queued = true;
-    transmit(seg, /*is_retx=*/true);
+    if (!seg.sacked && !seg.retx_queued && (seg.lost || is_head)) {
+      // Window-gate the repairs. The head is exempt — it is the segment
+      // whose absence pins snd_una, so recovery must always be able to
+      // resend it even when the pipe estimate exceeds the shrunken window
+      // (everything else waits; the RTO backstops a lost head repair).
+      if (!is_head && pipe_bytes() + seg.len > wnd) break;
+      if (seg.lost) lost_bytes_ -= seg.len;  // repair goes back into the pipe
+      seg.retx_queued = true;
+      transmit(seg, /*is_retx=*/true);
+    }
+    if (!seg.sacked && !seg.retx_queued) {
+      leading = false;
+    } else if (leading) {
+      hole_scan_seq_ = seg.seq + seg.len;
+    }
   }
+}
+
+void TcpSender::audit_scoreboard() const {
+#ifndef NDEBUG
+  ByteCount sacked = 0;
+  ByteCount lost = 0;
+  for (const Segment& seg : segments_) {
+    if (seg.sacked) sacked += seg.len;
+    if (seg.lost && !seg.retx_queued) lost += seg.len;
+    if (seg.seq + seg.len <= loss_scan_seq_) assert(seg.sacked || seg.lost);
+    if (seg.seq + seg.len <= hole_scan_seq_) assert(seg.sacked || seg.retx_queued);
+  }
+  assert(sacked == sacked_bytes_);
+  assert(lost == lost_bytes_);
+#endif
 }
 
 void TcpSender::deliver(const sim::Packet& pkt) {
@@ -258,6 +286,7 @@ void TcpSender::deliver(const sim::Packet& pkt) {
   }
   app_.on_delivered(pkt.delivered_bytes, sched_.now());
   try_send();
+  audit_scoreboard();
 }
 
 void TcpSender::process_new_ack(const sim::Packet& ack) {
@@ -310,6 +339,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
     if (snd_una_ >= recovery_point_) {
       in_recovery_ = false;
       rto_epoch_ = false;
+      hole_scan_seq_ = 0;
       // Re-arm repairs for the next episode. Invariant: lost_bytes_ counts
       // exactly the segments with (lost && !retx_queued), so segments whose
       // repair is being un-queued must be counted back in.
@@ -449,6 +479,7 @@ void TcpSender::on_rto_fire() {
   recovery_start_nxt_ = snd_nxt_;
   fresh_loss_pending_ = false;
   lost_bytes_ = 0;
+  hole_scan_seq_ = 0;
   for (auto& seg : segments_) {
     seg.retx_queued = false;
     if (!seg.sacked) {

@@ -132,13 +132,17 @@ class TcpSender : public sim::PacketSink {
   void on_start_fire();
   void on_pacing_fire();
   void transmit(Segment& seg, bool is_retx);
-  void retransmit_head();
-  /// Marks segments covered by the ACK's SACK blocks. Returns bytes newly
-  /// SACKed (0 if none).
+  /// First segment with seq >= `seq` (segments_ is contiguous and ascending).
+  [[nodiscard]] std::deque<Segment>::iterator first_segment_at(std::int64_t seq);
+  /// Marks segments covered by the ACK's SACK blocks, then infers losses
+  /// below the raised SACK edge. Returns bytes newly SACKed (0 if none).
   ByteCount apply_sack(const sim::Packet& ack);
   /// SACK-based recovery: retransmits unsacked holes below the highest
   /// SACKed byte, gated by the congestion window.
   void maybe_retransmit_holes();
+  /// Debug builds: recounts the SACK/loss ledgers and checks both cursor
+  /// invariants against segments_.
+  void audit_scoreboard() const;
   void process_new_ack(const sim::Packet& ack);
   void process_dupack(const sim::Packet& ack);
   void enter_recovery(Time now);
@@ -176,6 +180,15 @@ class TcpSender : public sim::PacketSink {
   ByteCount sacked_bytes_{0};
   ByteCount lost_bytes_{0};  ///< lost and not yet retransmitted
   std::int64_t high_sacked_{0};
+  /// Loss-inference cursor: every segment ending at or below it is sacked or
+  /// lost. Both flags are sticky below it (lost is cleared only when sacked
+  /// is set) and the inference edge only rises with high_sacked_, so a scan
+  /// resumes here instead of at the front.
+  std::int64_t loss_scan_seq_{0};
+  /// Hole-repair cursor: every segment ending at or below it is sacked or
+  /// retx_queued, so repair resumes here. Reset to 0 wherever retx_queued
+  /// is cleared (recovery exit and the RTO epoch).
+  std::int64_t hole_scan_seq_{0};
 
   /// (ack arrival, receiver bytes-arrived counter) samples for delivery-rate
   /// estimation. The counter is arrival-paced at the receiver, so rate

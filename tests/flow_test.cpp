@@ -1,10 +1,15 @@
 // Tests for the TCP endpoints: delivery, loss recovery, RTO, pacing,
-// app/rwnd-limited behaviour. These run small end-to-end simulations on a
-// single dumbbell.
+// app/rwnd-limited behaviour. Most run small end-to-end simulations on a
+// single dumbbell; the receiver oracle drives a TcpReceiver with crafted
+// packets, and the scoreboard goldens pin whole runs exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "app/bulk.hpp"
 #include "app/rate_limited.hpp"
@@ -14,6 +19,7 @@
 #include "core/dumbbell.hpp"
 #include "flow/udp_source.hpp"
 #include "queue/drop_tail.hpp"
+#include "util/rng.hpp"
 
 namespace ccc::flow {
 namespace {
@@ -322,6 +328,210 @@ TEST(TcpFlow, IdleRestartCollapsesStaleWindow) {
   const auto snap = net.snapshot_delivered();
   net.run_until(Time::sec(16.0));
   EXPECT_GT(net.goodput_mbps_since(0, snap, Time::sec(4.0)), 7.0);
+}
+
+// ---------- receiver reassembly oracle ----------
+
+/// Records the ACKs a receiver emits (quickack: one per data packet).
+class AckLog : public sim::PacketSink {
+ public:
+  void deliver(const sim::Packet& pkt) override { acks.push_back(pkt); }
+  std::vector<sim::Packet> acks;
+};
+
+/// The bytes that have arrived, one flag per byte: the reference the
+/// receiver's cumulative ACK, coverage counter and SACK blocks answer to.
+class ByteSet {
+ public:
+  explicit ByteSet(std::int64_t n) : has_(static_cast<std::size_t>(n), false) {}
+  void add(std::int64_t start, std::int64_t end) {
+    std::fill(has_.begin() + start, has_.begin() + end, true);
+  }
+  [[nodiscard]] bool has(std::int64_t b) const { return has_[static_cast<std::size_t>(b)]; }
+  [[nodiscard]] std::int64_t size() const { return static_cast<std::int64_t>(has_.size()); }
+  [[nodiscard]] std::int64_t first_missing() const {
+    return std::find(has_.begin(), has_.end(), false) - has_.begin();
+  }
+  [[nodiscard]] std::int64_t count() const { return std::count(has_.begin(), has_.end(), true); }
+
+ private:
+  std::vector<bool> has_;
+};
+
+/// Checks one ACK against the reference. The receiver may keep a run of
+/// arrived bytes split where one segment merely follows another, so the
+/// SACK blocks are checked for what any split must satisfy: they are the
+/// highest pieces of the arrived set above the cumulative ACK, in
+/// descending order, with nothing arrived in the gaps between them, and
+/// fewer than three only when they cover all of it.
+void expect_ack_matches(const sim::Packet& ack, const ByteSet& ref) {
+  const std::int64_t cum = ref.first_missing();
+  ASSERT_EQ(ack.ack_seq, cum);
+  ASSERT_EQ(ack.received_total, ref.count());
+  std::int64_t top = ref.size();
+  while (top > cum && !ref.has(top - 1)) --top;  // one past the highest byte
+  if (top <= cum) {
+    ASSERT_EQ(ack.n_sack, 0);
+    return;
+  }
+  ASSERT_GE(ack.n_sack, 1);
+  ASSERT_LE(ack.n_sack, sim::Packet::kMaxSack);
+  ASSERT_EQ(ack.sack[0].end, top);
+  std::int64_t above = top;  // lowest byte the blocks so far account for
+  for (int i = 0; i < ack.n_sack; ++i) {
+    const auto& blk = ack.sack[i];
+    ASSERT_LT(blk.start, blk.end) << "block " << i;
+    ASSERT_GT(blk.start, cum) << "block " << i;
+    ASSERT_LE(blk.end, above) << "block " << i;
+    for (std::int64_t b = blk.end; b < above; ++b) ASSERT_FALSE(ref.has(b)) << "gap byte " << b;
+    for (std::int64_t b = blk.start; b < blk.end; ++b) ASSERT_TRUE(ref.has(b)) << "block byte " << b;
+    above = blk.start;
+  }
+  if (ack.n_sack < sim::Packet::kMaxSack) {
+    for (std::int64_t b = cum; b < above; ++b) ASSERT_FALSE(ref.has(b)) << "unreported byte " << b;
+  }
+}
+
+/// Delivers [start, end) to `rx` and checks the ACK it emits.
+void deliver_and_check(TcpReceiver& rx, const AckLog& log, ByteSet& ref, std::int64_t start,
+                       std::int64_t end) {
+  sim::Packet pkt;
+  pkt.seq = start;
+  pkt.payload_bytes = end - start;
+  pkt.size_bytes = pkt.payload_bytes + sim::kHeaderBytes;
+  const std::size_t before = log.acks.size();
+  rx.deliver(pkt);
+  ref.add(start, end);
+  ASSERT_EQ(log.acks.size(), before + 1);
+  SCOPED_TRACE(::testing::Message() << "after [" << start << ", " << end << ")");
+  expect_ack_matches(log.acks.back(), ref);
+}
+
+TEST(TcpReceiverOracle, RandomPermutationsOfSegments) {
+  // Whole segments of uneven lengths, each delivered once in a random order
+  // and then some again: every ACK matches the byte set.
+  Rng rng{11};
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::pair<std::int64_t, std::int64_t>> segs;
+    std::int64_t seq = 0;
+    for (int i = 0; i < 40; ++i) {
+      const std::int64_t len = rng.uniform_int(1, 30);
+      segs.emplace_back(seq, seq + len);
+      seq += len;
+    }
+    std::vector<std::size_t> order(segs.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(0, i - 1))]);
+    }
+    for (int dup = 0; dup < 10; ++dup) {
+      order.insert(order.begin() + rng.uniform_int(1, static_cast<std::int64_t>(order.size())),
+                   order[static_cast<std::size_t>(rng.uniform_int(0, 39))]);
+    }
+    sim::Scheduler sched;
+    AckLog log;
+    TcpReceiver rx{sched, ReceiverConfig{}, log};
+    ByteSet ref{seq};
+    for (const std::size_t i : order) {
+      ASSERT_NO_FATAL_FAILURE(deliver_and_check(rx, log, ref, segs[i].first, segs[i].second))
+          << "trial " << trial;
+    }
+    EXPECT_EQ(rx.delivered_bytes(), seq);
+  }
+}
+
+TEST(TcpReceiverOracle, DuplicatesAndOverlappingRanges) {
+  // Arbitrary ranges: duplicates, ranges straddling earlier ones, ranges
+  // starting inside a merged run. Each distinct byte counts once.
+  Rng rng{12};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::int64_t n = 200;
+    sim::Scheduler sched;
+    AckLog log;
+    TcpReceiver rx{sched, ReceiverConfig{}, log};
+    ByteSet ref{n};
+    for (int i = 0; i < 60 && ref.first_missing() < n; ++i) {
+      const std::int64_t start = rng.uniform_int(0, n - 1);
+      const std::int64_t end = std::min(n, start + rng.uniform_int(1, 25));
+      ASSERT_NO_FATAL_FAILURE(deliver_and_check(rx, log, ref, start, end)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(TcpReceiverOracle, DuplicateInsideAMergedRangeCountsOnce) {
+  // [200,300) then [100,200) merge into one buffered range; a duplicate of
+  // its upper half must not be buffered (and counted) a second time.
+  sim::Scheduler sched;
+  AckLog log;
+  TcpReceiver rx{sched, ReceiverConfig{}, log};
+  ByteSet ref{400};
+  deliver_and_check(rx, log, ref, 200, 300);
+  deliver_and_check(rx, log, ref, 100, 200);
+  deliver_and_check(rx, log, ref, 250, 300);
+  EXPECT_EQ(log.acks.back().received_total, 200);
+  EXPECT_EQ(log.acks.back().n_sack, 1);
+  deliver_and_check(rx, log, ref, 0, 100);
+  EXPECT_EQ(log.acks.back().ack_seq, 300);
+  EXPECT_EQ(log.acks.back().n_sack, 0);
+}
+
+// ---------- scoreboard goldens ----------
+
+/// Every SenderStats field, in declaration order.
+std::array<std::uint64_t, 9> stat_fields(const SenderStats& s) {
+  return {static_cast<std::uint64_t>(s.bytes_sent),
+          static_cast<std::uint64_t>(s.bytes_retransmitted),
+          static_cast<std::uint64_t>(s.bytes_acked),
+          s.packets_sent,
+          s.retransmissions,
+          s.rto_events,
+          s.tail_probes,
+          s.recovery_episodes,
+          s.rtt_samples};
+}
+
+TEST(ScoreboardGolden, SackHeavyShallowBufferMix) {
+  // Cubic, Reno and BBR through a quarter-BDP drop-tail buffer: BBR's
+  // overshoot keeps all three in SACK recovery, with RTOs, for the whole
+  // run. The pins equal a full front-to-back scan of the scoreboard on
+  // every ACK, so a SACK, loss-inference or hole-repair walk that skips or
+  // revisits a segment shows up in them.
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 0.25;
+  core::DumbbellScenario net{cfg};
+  for (const char* name : {"cubic", "reno", "bbr"}) {
+    net.add_flow(core::make_cca_factory(name)(), std::make_unique<app::BulkApp>());
+  }
+  net.run_until(Time::sec(8.0));
+  // bytes_sent, bytes_retransmitted, bytes_acked, packets_sent,
+  // retransmissions, rto_events, tail_probes, recovery_episodes, rtt_samples
+  const std::array<std::array<std::uint64_t, 9>, 3> want{{
+      {3030664, 331592, 3017632, 2322, 229, 6, 6, 23, 1642},  // cubic
+      {2014168, 143352, 2009824, 1490, 99, 1, 4, 37, 1033},   // reno
+      {3740184, 441640, 1686920, 2888, 305, 11, 12, 25, 33},  // bbr
+  }};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(stat_fields(net.flow(i).sender().stats()), want[i]) << "flow " << i;
+  }
+  EXPECT_EQ(net.scheduler().events_executed(), 18976u);
+}
+
+TEST(ScoreboardGolden, AllAcksLostRto) {
+  // No receiver: every transmission vanishes, so the sender lives on tail
+  // probes and backed-off RTO epochs that mark the whole window lost.
+  sim::Scheduler sched;
+  sim::FlowDemux demux;
+  auto link = sim::Link{sched, Rate::mbps(10), Time::ms(5),
+                        std::make_unique<queue::DropTailQueue>(1 << 20), demux};
+  auto sink = sim::LinkSink{link};
+  app::BulkApp bulk{100'000};
+  SenderConfig cfg;
+  TcpSender sender{sched, cfg, std::make_unique<cca::NewReno>(), bulk, sink};
+  sender.start(Time::zero());
+  sched.run_until(Time::sec(30.0));
+  const std::array<std::uint64_t, 9> want{14480, 5792, 0, 14, 4, 3, 1, 0, 0};
+  EXPECT_EQ(stat_fields(sender.stats()), want);
+  EXPECT_EQ(sched.events_executed(), 33u);
 }
 
 }  // namespace

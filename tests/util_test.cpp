@@ -1,12 +1,17 @@
-// Unit tests for util: units, rng, stats, fft, table.
+// Unit tests for util: units, rng, stats, fft, table, monotone max.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <utility>
 #include <numbers>
 #include <sstream>
 #include <vector>
 
 #include "util/fft.hpp"
+#include "util/monotone_max.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -295,6 +300,53 @@ TEST(Table, CsvQuotesSpecials) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+// ---------- monotone max ----------
+
+TEST(MonotoneMax, MatchesNaiveScanUnderRandomPushesAndEvictions) {
+  // 10k random operations against a deque that keeps every sample and
+  // scans it: keys advance by 0-2 per push (runs of equal keys), values
+  // come from a small range (many ties), and the window of 0-4 keys is
+  // evicted at random points, as BBR evicts after some ACKs and not others.
+  Rng rng{7};
+  for (const std::uint64_t window : {0u, 1u, 4u}) {
+    util::MonotoneMax<std::uint64_t, int> fast;
+    std::deque<std::pair<std::uint64_t, int>> all;
+    std::uint64_t key = 0;
+    for (int op = 0; op < 10'000; ++op) {
+      if (rng.chance(0.7)) {
+        key += static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+        const int value = static_cast<int>(rng.uniform_int(0, 9));
+        fast.push(key, value);
+        all.emplace_back(key, value);
+      } else {
+        const auto expired = [&](std::uint64_t k) { return k + window < key; };
+        fast.evict_front_while(expired);
+        while (!all.empty() && expired(all.front().first)) all.pop_front();
+      }
+      int naive = -1;
+      for (const auto& [k, v] : all) naive = std::max(naive, v);
+      ASSERT_EQ(fast.max_or(-1), naive) << "window " << window << ", op " << op;
+      ASSERT_LE(fast.size(), all.size());
+      ASSERT_EQ(fast.size() == 0, all.empty());
+    }
+  }
+}
+
+TEST(MonotoneMax, KeepsOnlyTheDecreasingSuffix) {
+  util::MonotoneMax<int, int> m;
+  EXPECT_EQ(m.max_or(0), 0);
+  for (const int v : {5, 3, 4, 1}) m.push(0, v);
+  EXPECT_EQ(m.size(), 3u);  // 3 is dominated by the later 4
+  EXPECT_EQ(m.max_or(0), 5);
+  m.push(1, 5);  // a tie with the front replaces it: the later sample lives longer
+  EXPECT_EQ(m.size(), 1u);
+  m.evict_front_while([](int k) { return k < 1; });
+  EXPECT_EQ(m.max_or(0), 5);
+  m.evict_front_while([](int k) { return k < 2; });
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.max_or(0), 0);
 }
 
 }  // namespace
