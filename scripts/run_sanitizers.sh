@@ -10,9 +10,10 @@
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the event engine's suites,
-#          whose wheel/ready/batch index arithmetic fails the same way, and
-#          the transport/CCA suites, whose SACK-scoreboard cursors and
-#          reassembly buffer do too)
+#          whose wheel/ready/batch and active-batch-list index arithmetic
+#          fails the same way, and the transport suites — flow, CCA, Nimbus
+#          and util — whose SACK-scoreboard cursors, reassembly buffer and
+#          windowed min/max deques do too)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.

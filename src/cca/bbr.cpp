@@ -23,7 +23,7 @@ void Bbr::enter_state(State next, Time now) {
   }
 }
 
-Rate Bbr::btlbw() const { return bw_samples_.max_or(Rate::zero()); }
+Rate Bbr::btlbw() const { return bw_samples_.best_or(Rate::zero()); }
 
 ByteCount Bbr::bdp_with_gain(double gain) const {
   if (min_rtt_ == Time::never() || btlbw().is_zero()) return initial_cwnd_;

@@ -8,18 +8,6 @@ namespace ccc::cca {
 Copa::Copa(ByteCount initial_cwnd, ByteCount mss, double delta)
     : mss_{mss}, delta_{delta}, cwnd_{initial_cwnd} {}
 
-Time Copa::min_rtt() const {
-  Time best = Time::never();
-  for (const auto& [when, rtt] : rtt_window_) best = std::min(best, rtt);
-  return best;
-}
-
-Time Copa::standing_rtt() const {
-  Time best = Time::never();
-  for (const auto& [when, rtt] : standing_window_) best = std::min(best, rtt);
-  return best;
-}
-
 Time Copa::queueing_delay() const {
   const Time mr = min_rtt();
   const Time sr = standing_rtt();
@@ -28,14 +16,9 @@ Time Copa::queueing_delay() const {
 }
 
 void Copa::expire(Time now) {
-  while (!rtt_window_.empty() && now - rtt_window_.front().first > Time::sec(10)) {
-    rtt_window_.pop_front();
-  }
-  const Time half_srtt = srtt_ / 2;
-  while (!standing_window_.empty() &&
-         now - standing_window_.front().first > std::max(half_srtt, Time::ms(1))) {
-    standing_window_.pop_front();
-  }
+  rtt_window_.evict_front_while([now](Time when) { return now - when > Time::sec(10); });
+  const Time width = std::max(srtt_ / 2, Time::ms(1));
+  standing_window_.evict_front_while([now, width](Time when) { return now - when > width; });
 }
 
 void Copa::on_ack(const AckEvent& ev) {
@@ -44,8 +27,8 @@ void Copa::on_ack(const AckEvent& ev) {
                                   : Time::ns(static_cast<std::int64_t>(
                                         0.875 * static_cast<double>(srtt_.count_ns()) +
                                         0.125 * static_cast<double>(ev.rtt_sample.count_ns())));
-    rtt_window_.emplace_back(ev.now, ev.rtt_sample);
-    standing_window_.emplace_back(ev.now, ev.rtt_sample);
+    rtt_window_.push(ev.now, ev.rtt_sample);
+    standing_window_.push(ev.now, ev.rtt_sample);
   }
   expire(ev.now);
   if (srtt_ == Time::zero()) return;

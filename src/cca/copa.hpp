@@ -8,9 +8,8 @@
 // experiment, matching the paper's use of mode-switching CCAs as probes.)
 #pragma once
 
-#include <deque>
-
 #include "cca/cca.hpp"
+#include "util/monotone_max.hpp"
 
 namespace ccc::cca {
 
@@ -28,12 +27,13 @@ class Copa : public CongestionControl {
   [[nodiscard]] std::string_view name() const override { return "copa"; }
 
   [[nodiscard]] Time queueing_delay() const;
+  /// Min RTT over the whole 10 s window (propagation estimate); never() if
+  /// the window is empty.
+  [[nodiscard]] Time min_rtt() const { return rtt_window_.best_or(Time::never()); }
+  /// Min RTT over the last max(srtt/2, 1 ms) (standing queue estimate).
+  [[nodiscard]] Time standing_rtt() const { return standing_window_.best_or(Time::never()); }
 
  private:
-  /// Min RTT over the whole 10 s window (propagation estimate).
-  [[nodiscard]] Time min_rtt() const;
-  /// Min RTT over the last srtt/2 (standing queue estimate).
-  [[nodiscard]] Time standing_rtt() const;
   void expire(Time now);
 
   ByteCount mss_;
@@ -46,8 +46,9 @@ class Copa : public CongestionControl {
   bool in_slow_start_{true};
 
   Time srtt_{Time::zero()};
-  std::deque<std::pair<Time, Time>> rtt_window_;       // (when, rtt), 10 s
-  std::deque<std::pair<Time, Time>> standing_window_;  // (when, rtt), srtt/2
+  // Windowed minima of the RTT samples, keyed by ACK time.
+  util::MonotoneMin<Time, Time> rtt_window_;       // 10 s
+  util::MonotoneMin<Time, Time> standing_window_;  // max(srtt/2, 1 ms)
 };
 
 }  // namespace ccc::cca

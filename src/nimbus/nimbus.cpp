@@ -20,9 +20,8 @@ NimbusCca::NimbusCca(const sim::Scheduler& sched, NimbusConfig cfg)
 
 Rate NimbusCca::capacity_estimate() const {
   if (!cfg_.capacity_hint.is_zero()) return cfg_.capacity_hint;
-  Rate best = base_rate_;  // never estimate below what we're sending
-  for (const auto& [when, r] : rout_window_) best = std::max(best, r);
-  return best;
+  // Never estimate below what we're sending.
+  return std::max(base_rate_, rout_window_.best_or(base_rate_));
 }
 
 Rate NimbusCca::pulsed_rate(Time now) const {
@@ -105,11 +104,9 @@ void NimbusCca::finalize_bin(std::int64_t next_bin) {
       z_ctrl = std::max(mu - rin, 0.0);
     }
     // Receive-rate maxima feed the capacity estimator (10 s window).
-    rout_window_.emplace_back(cur_bin_last_ack_, Rate::bps(rout));
-    while (!rout_window_.empty() &&
-           cur_bin_last_ack_ - rout_window_.front().first > Time::sec(10)) {
-      rout_window_.pop_front();
-    }
+    rout_window_.push(cur_bin_last_ack_, Rate::bps(rout));
+    rout_window_.evict_front_while(
+        [this](Time when) { return cur_bin_last_ack_ - when > Time::sec(10); });
   }
   push_z(z, z_ctrl);
   // Fill any fully-skipped bins (idle probe) with the held values.

@@ -22,6 +22,7 @@
 #include "cca/cca.hpp"
 #include "nimbus/elasticity.hpp"
 #include "sim/scheduler.hpp"
+#include "util/monotone_max.hpp"
 
 namespace ccc::telemetry {
 class Counter;
@@ -124,7 +125,7 @@ class NimbusCca : public cca::CongestionControl {
   double queue_delay_ewma_sec_{0.0};  ///< slow (multi-pulse-period) queue estimate
   Time last_delay_update_{Time::zero()};
   double z_ewma_bps_{0.0};            ///< smoothed cross-traffic estimate
-  std::deque<std::pair<Time, Rate>> rout_window_;  ///< (when, rate) for mu estimate
+  util::MonotoneMax<Time, Rate> rout_window_;  ///< 10 s max of per-bin receive rates (mu estimate)
 
   // Rate control.
   Rate base_rate_;

@@ -121,6 +121,10 @@ void Scheduler::schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool
   ++live_;
   ++batch_live_;
   if (was_empty) {
+    if (!q.listed) {
+      q.listed = true;
+      active_.push_back(id);
+    }
     // A new front appeared; it displaces the cached minimum only if strictly
     // earlier (its seq is the newest, so equal times lose the tie-break).
     // Appends to a non-empty batch never change that batch's front. During a
@@ -138,12 +142,19 @@ void Scheduler::schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool
 
 void Scheduler::recompute_batch_min() {
   batch_min_ = kNoBatch;
-  if (batch_live_ == 0) return;
+  batch_scan_visits_ += active_.size();
   Time best = Time::zero();
   std::uint64_t best_seq = 0;
-  for (std::uint32_t b = 0; b < batches_.size(); ++b) {
-    const DeliveryBatch& q = batches_[b];
-    if (q.head == q.at.size()) continue;
+  for (std::size_t i = 0; i < active_.size();) {
+    const std::uint32_t b = active_[i];
+    DeliveryBatch& q = batches_[b];
+    if (q.head == q.at.size()) {
+      // Drained: unlist it (its storage stays for the next append).
+      q.listed = false;
+      active_[i] = active_.back();
+      active_.pop_back();
+      continue;
+    }
     const Time qa = q.at[q.head];
     const std::uint64_t qs = q.seq[q.head];
     if (batch_min_ == kNoBatch || qa < best || (qa == best && qs < best_seq)) {
@@ -151,8 +162,41 @@ void Scheduler::recompute_batch_min() {
       best = qa;
       best_seq = qs;
     }
+    ++i;
   }
+#ifndef NDEBUG
+  audit_active_batches();
+#endif
 }
+
+#ifndef NDEBUG
+void Scheduler::audit_active_batches() const {
+  std::vector<char> seen(batches_.size(), 0);
+  for (const std::uint32_t b : active_) {
+    assert(b < batches_.size() && "active list holds an unknown batch id");
+    assert(!seen[b] && "batch listed twice in the active list");
+    assert(batches_[b].listed && "listed batch lacks its membership flag");
+    seen[b] = 1;
+  }
+  std::uint32_t full_min = kNoBatch;
+  for (std::uint32_t b = 0; b < batches_.size(); ++b) {
+    const DeliveryBatch& q = batches_[b];
+    assert(q.listed == static_cast<bool>(seen[b]) && "membership flag without a list entry");
+    if (q.head == q.at.size()) continue;
+    assert(q.listed && "non-empty batch missing from the active list");
+    if (full_min == kNoBatch) {
+      full_min = b;
+      continue;
+    }
+    const DeliveryBatch& m = batches_[full_min];
+    if (q.at[q.head] < m.at[m.head] ||
+        (q.at[q.head] == m.at[m.head] && q.seq[q.head] < m.seq[m.head])) {
+      full_min = b;
+    }
+  }
+  assert(batch_min_ == full_min && "batch_min_ disagrees with a full scan");
+}
+#endif
 
 void Scheduler::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffff'ffffu);
@@ -454,7 +498,8 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
           }
         }
       }
-      for (std::uint32_t b = 0; b < batches_.size(); ++b) {
+      batch_scan_visits_ += active_.size();
+      for (const std::uint32_t b : active_) {
         if (b == id) continue;
         const DeliveryBatch& ob = batches_[b];
         if (ob.head == ob.at.size()) continue;

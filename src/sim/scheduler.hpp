@@ -120,8 +120,10 @@ class Scheduler {
   using BatchId = std::uint32_t;
 
   /// Registers a struct-of-arrays in-flight batch delivering into `sink`.
-  /// One per monotonic producer (a Link's propagation pipe, a DelayLine);
-  /// batches are never unregistered — components live for the whole run.
+  /// One per monotonic producer (a Link's propagation pipe, a DelayLine).
+  /// Batches are never unregistered and their storage is kept for the whole
+  /// run, but an idle (empty) one costs nothing per event: the scheduler's
+  /// batch scans walk only the active list of non-empty batches.
   [[nodiscard]] BatchId register_delivery_batch(PacketSink& sink);
 
   /// Re-points a batch at a different sink. Applies to everything still in
@@ -155,6 +157,13 @@ class Scheduler {
     const DeliveryBatch& q = batches_[id];
     return q.at.size() - q.head;
   }
+  /// Length of the active-batch list: every non-empty batch, plus any
+  /// emptied since the last batch-minimum recompute (tests / introspection).
+  [[nodiscard]] std::size_t active_batches() const { return active_.size(); }
+  /// Active-list entries visited by the batch-minimum recompute and the
+  /// drain's bound loop since construction (tests / introspection: the
+  /// per-scan cost is the active list, not every batch ever registered).
+  [[nodiscard]] std::uint64_t batch_scan_visits() const { return batch_scan_visits_; }
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled
   /// or unknown id is a harmless no-op (timers race with the events that
@@ -309,13 +318,21 @@ class Scheduler {
     std::vector<std::uint64_t> seq;
     std::vector<PacketPool::Handle> handle;
     std::size_t head{0};
+    bool listed{false};  // present in active_
   };
   static constexpr std::uint32_t kNoBatch = 0xffff'ffffu;
 
   /// Recomputes batch_min_ (the id of the batch with the earliest front, by
-  /// (at, seq); kNoBatch when all are empty). O(#batches); called only when
-  /// the current minimum's front changes, not per append.
+  /// (at, seq); kNoBatch when all are empty) and swap-removes the batches it
+  /// finds empty from active_. O(active batches); called only when the
+  /// current minimum's front changes, not per append.
   void recompute_batch_min();
+#ifndef NDEBUG
+  /// Debug builds check the active-batch index after every recompute: each
+  /// non-empty batch is flagged and listed exactly once, no id is listed
+  /// twice, flags match the list, and batch_min_ equals a full scan.
+  void audit_active_batches() const;
+#endif
   /// Drains batch `id` up to (exclusive) the earliest non-batch event or
   /// `limit`, delivering same-time runs through one deliver_batch() call.
   void dispatch_batch(std::uint32_t id, Time limit);
@@ -361,9 +378,16 @@ class Scheduler {
   // Delivery batches. batch_live_ counts queued batch deliveries (they are
   // part of live_ too); batch_min_ caches which batch currently owns the
   // earliest front so pop_next pays O(1) on the no-batch/quiet path.
+  // active_ lists every non-empty batch (in no particular order: ties break
+  // on the unique seq, so scan order never changes a result). An append to
+  // an unlisted batch adds it; recompute_batch_min() lazily swap-removes the
+  // ones it finds drained, so a short flow's batch that goes idle forever
+  // drops out of every later scan.
   std::vector<DeliveryBatch> batches_;
+  std::vector<std::uint32_t> active_;
   std::size_t batch_live_{0};
   std::uint32_t batch_min_{kNoBatch};
+  std::uint64_t batch_scan_visits_{0};
   // Scratch for dispatch_batch: the run's handles and packet pointers are
   // copied out before delivery so a sink that appends (and reallocates the
   // SoA vectors) mid-callback cannot invalidate what we are iterating.

@@ -1,12 +1,17 @@
 // Unit tests for CCA state machines (driven with synthetic events).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <utility>
+
 #include "cca/aimd.hpp"
 #include "cca/bbr.hpp"
 #include "cca/copa.hpp"
 #include "cca/cubic.hpp"
 #include "cca/new_reno.hpp"
 #include "cca/vegas.hpp"
+#include "util/rng.hpp"
 
 namespace ccc::cca {
 namespace {
@@ -279,6 +284,49 @@ TEST(Copa, ReportsQueueingDelay) {
   cc.on_ack(ack(t, sim::kMss, Time::ms(80)));
   // min 50, standing window holds recent 80 -> queueing ~30 ms.
   EXPECT_NEAR(cc.queueing_delay().to_ms(), 30.0, 10.0);
+}
+
+TEST(Copa, WindowedRttMinimaMatchNaiveRecomputation) {
+  // A scripted ACK sequence over 25 s: RTTs on a random walk between 10 and
+  // 300 ms (so srtt, and with it the standing window, shrinks and grows),
+  // ACK gaps of 0-20 ms (same-time ACKs included) and every tenth ACK
+  // without an RTT sample. After each ACK, min_rtt() and standing_rtt() must
+  // equal a scan over deques that keep every sample the same 10 s and
+  // max(srtt/2, 1 ms) evictions leave, with srtt recomputed alongside.
+  Rng rng{5};
+  Copa cc;
+  std::deque<std::pair<Time, Time>> all_10s;
+  std::deque<std::pair<Time, Time>> all_standing;
+  Time srtt = Time::zero();
+  Time now = Time::zero();
+  std::int64_t rtt_ms = 50;
+  const auto scan_min = [](const std::deque<std::pair<Time, Time>>& d) {
+    Time best = Time::never();
+    for (const auto& sample : d) best = std::min(best, sample.second);
+    return best;
+  };
+  for (int i = 0; i < 2'500; ++i) {
+    now += Time::ms(rng.uniform_int(0, 20));
+    rtt_ms = std::clamp<std::int64_t>(rtt_ms + rng.uniform_int(-15, 15), 10, 300);
+    const Time rtt = i % 10 == 9 ? Time::zero() : Time::ms(rtt_ms);
+    if (rtt > Time::zero()) {
+      srtt = srtt == Time::zero()
+                 ? rtt
+                 : Time::ns(static_cast<std::int64_t>(
+                       0.875 * static_cast<double>(srtt.count_ns()) +
+                       0.125 * static_cast<double>(rtt.count_ns())));
+      all_10s.emplace_back(now, rtt);
+      all_standing.emplace_back(now, rtt);
+    }
+    while (!all_10s.empty() && now - all_10s.front().first > Time::sec(10)) all_10s.pop_front();
+    const Time width = std::max(srtt / 2, Time::ms(1));
+    while (!all_standing.empty() && now - all_standing.front().first > width) {
+      all_standing.pop_front();
+    }
+    cc.on_ack(ack(now, sim::kMss, rtt));
+    ASSERT_EQ(cc.min_rtt(), scan_min(all_10s)) << "ack " << i;
+    ASSERT_EQ(cc.standing_rtt(), scan_min(all_standing)) << "ack " << i;
+  }
 }
 
 // ---------- AIMD ----------

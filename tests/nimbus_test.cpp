@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "nimbus/elasticity.hpp"
@@ -193,6 +195,60 @@ TEST(NimbusCca, CapacityHintOverridesEstimate) {
   cfg.capacity_hint = Rate::mbps(48);
   NimbusCca cc{sched, cfg};
   EXPECT_DOUBLE_EQ(cc.capacity_estimate().to_mbps(), 48.0);
+}
+
+TEST(NimbusCca, CapacityEstimateMatchesNaiveWindowedMax) {
+  // A scripted ACK sequence over 25 s with no capacity hint: ACK gaps of
+  // 1-15 ms against 9.7 ms send bins (so bins hold several ACKs, one, or
+  // none), 1-20 segments per ACK and a queueing RTT that drifts the base
+  // rate. The test replays the estimator's bin bookkeeping — one receive
+  // rate per finished non-empty bin, keyed by its last ACK, kept for 10 s —
+  // into a deque it scans, and capacity_estimate() must equal
+  // max(base rate, that scan) after every ACK.
+  sim::Scheduler sched;
+  NimbusCca cc{sched, NimbusConfig{}};
+  const Time bin_width = NimbusConfig{}.sample_bin;
+  Rng rng{9};
+  std::deque<std::pair<Time, Rate>> rout_window;
+  std::int64_t cur_bin = -1;
+  ByteCount bin_bytes = 0;
+  Time bin_last_ack = Time::zero();
+  Time prev_last_ack = Time::zero();
+  Time now = Time::ms(100);
+  std::size_t evicted = 0;
+  for (int i = 0; i < 3'000; ++i) {
+    now += Time::ms(rng.uniform_int(1, 15));
+    cca::AckEvent ev = mk_ack(now, sim::kMss * rng.uniform_int(1, 20),
+                              Time::ms(40 + rng.uniform_int(0, 30)));
+    ev.acked_sent_at = now - Time::ms(40);
+    const std::int64_t bin = ev.acked_sent_at.count_ns() / bin_width.count_ns();
+    if (cur_bin < 0) {
+      cur_bin = bin;
+      prev_last_ack = now;
+    } else {
+      if (bin > cur_bin) {
+        if (bin_bytes > 0 && prev_last_ack > Time::zero() && bin_last_ack > prev_last_ack) {
+          const double span = (bin_last_ack - prev_last_ack).to_sec();
+          rout_window.emplace_back(bin_last_ack,
+                                   Rate::bps(static_cast<double>(bin_bytes) * 8.0 / span));
+          while (bin_last_ack - rout_window.front().first > Time::sec(10)) {
+            rout_window.pop_front();
+            ++evicted;
+          }
+        }
+        if (bin_bytes > 0) prev_last_ack = bin_last_ack;
+        bin_bytes = 0;
+        cur_bin = bin;
+      }
+      bin_bytes += ev.newly_acked_bytes;
+      bin_last_ack = std::max(bin_last_ack, now);
+    }
+    cc.on_ack(ev);
+    Rate naive = cc.base_rate();
+    for (const auto& sample : rout_window) naive = std::max(naive, sample.second);
+    ASSERT_EQ(cc.capacity_estimate(), naive) << "ack " << i;
+  }
+  EXPECT_GT(evicted, 100u);  // the 10 s window really slid over the run
 }
 
 TEST(NimbusCca, DelayControllerBacksOffWhenQueueDeep) {

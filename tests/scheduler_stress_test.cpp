@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "sim/packet.hpp"
@@ -315,6 +316,125 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
     ASSERT_EQ(fired[i], expect[i].label) << "divergence at position " << i;
   }
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+/// Golden firing order with thousands of idle delivery batches. Short flows
+/// each register a batch, use it briefly and leave it idle for the rest of
+/// the run; the batch scans must skip those (they walk the active list, not
+/// every batch ever registered) without changing the firing order. Each
+/// 10 ms phase registers 20 new batches (5,000 in all), gives each 1-4
+/// deliveries within its first 3 ms, and interleaves cancellable timers
+/// (some reaching many phases ahead, a third cancelled in the next phase)
+/// and fire-and-forget calls on a 100 us grid, so ties across every form
+/// are common. Everything a phase schedules is due at or after the phase
+/// start, so the independent (time, schedule-order) model still applies.
+TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
+  constexpr int kPhases = 250;
+  constexpr int kBatchesPerPhase = 20;
+  constexpr int kCallsPerPhase = 30;
+  constexpr int kFiresPerPhase = 20;
+  const Time phase_len = Time::ms(10);
+  Mix rng{0x1d1eba7cull};
+
+  Scheduler sched;
+  std::vector<int> fired;
+  std::deque<LabelCtx> ctxs;  // stable addresses: the engine holds pointers
+  std::deque<LabelSink> sinks;
+  std::vector<RefEvent> model;
+  std::vector<std::pair<EventId, std::size_t>> last_phase_calls;  // id -> model idx
+  std::uint64_t cancels = 0;
+
+  for (int ph = 0; ph < kPhases; ++ph) {
+    const Time t0 = phase_len * ph;
+    ASSERT_EQ(sched.now(), t0);
+    // RTO-style disarms: a third of the previous phase's timers still pending.
+    for (const auto& [id, idx] : last_phase_calls) {
+      if (model[idx].at > t0 && rng.below(3) == 0) {
+        sched.cancel(id);
+        model[idx].cancelled = true;
+        ++cancels;
+      }
+    }
+    last_phase_calls.clear();
+
+    // This phase's short flows: a batch each and its time-monotonic appends.
+    std::vector<Scheduler::BatchId> ids;
+    std::vector<std::vector<Time>> appends;
+    for (int b = 0; b < kBatchesPerPhase; ++b) {
+      sinks.emplace_back();
+      sinks.back().log = &fired;
+      ids.push_back(sched.register_delivery_batch(sinks.back()));
+      std::vector<Time> times(1 + rng.below(4));
+      for (Time& t : times) t = t0 + Time::us(static_cast<std::int64_t>(100 * rng.below(30)));
+      // Descending, so pop_back() yields the appends in time order.
+      std::sort(times.begin(), times.end(), [](Time a, Time b) { return a > b; });
+      appends.push_back(std::move(times));
+    }
+    int calls = kCallsPerPhase;
+    int fires = kFiresPerPhase;
+    std::size_t appends_left = 0;
+    for (const auto& a : appends) appends_left += a.size();
+    while (calls + fires + appends_left > 0) {
+      const int label = static_cast<int>(model.size());
+      const std::uint64_t timers_left = static_cast<std::uint64_t>(calls + fires);
+      const std::uint64_t pick = rng.below(timers_left + appends_left);
+      if (pick < appends_left) {
+        std::size_t b = rng.below(kBatchesPerPhase);
+        while (appends[b].empty()) b = (b + 1) % kBatchesPerPhase;
+        const Time at = appends[b].back();
+        appends[b].pop_back();
+        --appends_left;
+        sim::Packet p;
+        p.flow = static_cast<sim::FlowId>(label);
+        sched.schedule_deliver_batch_at(at, ids[b], p);
+        model.push_back({at, model.size(), label});
+        continue;
+      }
+      ctxs.push_back({&fired, label});
+      const bool call = pick - appends_left < static_cast<std::uint64_t>(calls);
+      // Timers on the same 100 us grid, a quarter reaching up to 50 phases out.
+      const std::uint64_t reach = rng.below(4) == 0 ? 5000 : 30;
+      const Time at = t0 + Time::us(static_cast<std::int64_t>(100 * rng.below(reach)));
+      if (call) {
+        --calls;
+        last_phase_calls.emplace_back(sched.schedule_call_at(at, log_label, &ctxs.back()),
+                                      model.size());
+      } else {
+        --fires;
+        sched.schedule_fire_at(at, log_label, &ctxs.back());
+      }
+      model.push_back({at, model.size(), label});
+    }
+
+    sched.run_until(t0 + phase_len);
+    // Every delivery of this phase has fired, and the final batch-minimum
+    // recompute dropped the drained batches: idle batches stay unlisted.
+    ASSERT_EQ(sched.active_batches(), 0u) << "phase " << ph;
+  }
+  sched.run_until(phase_len * (kPhases + 60));
+
+  std::vector<RefEvent> expect;
+  for (const auto& e : model) {
+    if (!e.cancelled) expect.push_back(e);
+  }
+  std::stable_sort(expect.begin(), expect.end(), [](const RefEvent& a, const RefEvent& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.order < b.order;
+  });
+  ASSERT_EQ(fired.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(fired[i], expect[i].label) << "divergence at position " << i;
+  }
+  EXPECT_EQ(sched.pending(), 0u);
+
+  // Cost: at most one phase's batches are ever listed, and every scan walks
+  // only the list. A drain runs at most one recompute plus one bound loop
+  // per event it fires or stale entry it drops, so the visits stay within
+  // (2 x events + cancels) x kBatchesPerPhase — a scan over every registered
+  // batch would visit ~2,500 per scan on average here.
+  const std::uint64_t scans_bound = 2 * sched.events_executed() + cancels;
+  EXPECT_LE(sched.batch_scan_visits(), scans_bound * kBatchesPerPhase);
+  EXPECT_EQ(sinks.size(), static_cast<std::size_t>(kPhases * kBatchesPerPhase));
 }
 
 /// The batch drain returns arena handles as it delivers, not at tick end:

@@ -327,26 +327,78 @@ TEST(MonotoneMax, MatchesNaiveScanUnderRandomPushesAndEvictions) {
       }
       int naive = -1;
       for (const auto& [k, v] : all) naive = std::max(naive, v);
-      ASSERT_EQ(fast.max_or(-1), naive) << "window " << window << ", op " << op;
+      ASSERT_EQ(fast.best_or(-1), naive) << "window " << window << ", op " << op;
       ASSERT_LE(fast.size(), all.size());
       ASSERT_EQ(fast.size() == 0, all.empty());
     }
   }
 }
 
+TEST(MonotoneMax, MinAndMaxMatchNaiveScanUnderAWindowThatShrinksAndGrows) {
+  // Copa's shape: every sample is pushed with the current time as its key,
+  // then the front is evicted against a width that changes between calls
+  // (max(srtt/2, 1 ms) follows the smoothed RTT). Each call's predicate is
+  // monotone in the key, so both extrema must match a deque that keeps
+  // every sample the same evictions leave and scans it.
+  Rng rng{11};
+  util::MonotoneMin<std::int64_t, int> lo;
+  util::MonotoneMax<std::int64_t, int> hi;
+  std::deque<std::pair<std::int64_t, int>> all;
+  std::int64_t now = 0;
+  std::int64_t width = 10;
+  for (int op = 0; op < 20'000; ++op) {
+    now += rng.uniform_int(0, 3);
+    if (rng.chance(0.8)) {
+      const int value = static_cast<int>(rng.uniform_int(0, 9));
+      lo.push(now, value);
+      hi.push(now, value);
+      all.emplace_back(now, value);
+    }
+    // A random walk between 1 and 40: long shrinking and growing stretches.
+    width = std::clamp<std::int64_t>(width + rng.uniform_int(-3, 3), 1, 40);
+    const auto expired = [&](std::int64_t k) { return now - k > width; };
+    lo.evict_front_while(expired);
+    hi.evict_front_while(expired);
+    while (!all.empty() && expired(all.front().first)) all.pop_front();
+    int naive_min = 100;
+    int naive_max = -1;
+    for (const auto& [k, v] : all) {
+      naive_min = std::min(naive_min, v);
+      naive_max = std::max(naive_max, v);
+    }
+    ASSERT_EQ(lo.best_or(100), naive_min) << "op " << op;
+    ASSERT_EQ(hi.best_or(-1), naive_max) << "op " << op;
+    ASSERT_LE(lo.size(), all.size());
+    ASSERT_LE(hi.size(), all.size());
+  }
+}
+
+TEST(MonotoneMin, KeepsOnlyTheIncreasingSuffix) {
+  util::MonotoneMin<int, int> m;
+  EXPECT_EQ(m.best_or(99), 99);
+  for (const int v : {5, 7, 6, 9}) m.push(0, v);
+  EXPECT_EQ(m.size(), 3u);  // 7 is dominated by the later 6
+  EXPECT_EQ(m.best_or(99), 5);
+  m.push(1, 5);  // a tie with the front replaces it
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.best_or(99), 5);
+  m.evict_front_while([](int k) { return k < 2; });
+  EXPECT_EQ(m.best_or(99), 99);
+}
+
 TEST(MonotoneMax, KeepsOnlyTheDecreasingSuffix) {
   util::MonotoneMax<int, int> m;
-  EXPECT_EQ(m.max_or(0), 0);
+  EXPECT_EQ(m.best_or(0), 0);
   for (const int v : {5, 3, 4, 1}) m.push(0, v);
   EXPECT_EQ(m.size(), 3u);  // 3 is dominated by the later 4
-  EXPECT_EQ(m.max_or(0), 5);
+  EXPECT_EQ(m.best_or(0), 5);
   m.push(1, 5);  // a tie with the front replaces it: the later sample lives longer
   EXPECT_EQ(m.size(), 1u);
   m.evict_front_while([](int k) { return k < 1; });
-  EXPECT_EQ(m.max_or(0), 5);
+  EXPECT_EQ(m.best_or(0), 5);
   m.evict_front_while([](int k) { return k < 2; });
   EXPECT_EQ(m.size(), 0u);
-  EXPECT_EQ(m.max_or(0), 0);
+  EXPECT_EQ(m.best_or(0), 0);
 }
 
 }  // namespace
