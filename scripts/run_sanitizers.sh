@@ -5,7 +5,8 @@
 #          (the concurrency tests: runner pool, telemetry merge, the
 #          jobs-1-vs-jobs-8 pipeline determinism pin)
 #
-#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|transport"
+#   asan   -DCCC_SANITIZE=address,undefined
+#          ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"
 #          (the corrupt-input suites: the corruption matrix, faultfs drills,
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
@@ -13,7 +14,8 @@
 #          whose wheel/ready/batch and active-batch-list index arithmetic
 #          fails the same way, and the transport suites — flow, CCA, Nimbus
 #          and util — whose SACK-scoreboard cursors, reassembly buffer and
-#          windowed min/max deques do too)
+#          windowed min/max deques do too — and the qdisc suite, whose
+#          bucket lists and buffer-stealing scan do as well)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.
@@ -34,10 +36,10 @@ run_job() {
 
 case "${which}" in
   tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport" ;;
+  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue" ;;
   all)
     run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport"
+    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"
     ;;
   *)
     echo "usage: $0 [tsan|asan|all]" >&2

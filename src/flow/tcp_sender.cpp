@@ -174,8 +174,26 @@ void TcpSender::transmit(Segment& seg, bool is_retx) {
 }
 
 std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_t seq) {
-  return std::partition_point(segments_.begin(), segments_.end(),
-                              [seq](const Segment& s) { return s.seq < seq; });
+  ++scoreboard_lookups_;
+  const auto below = [this, seq](const Segment& s) {
+    ++scoreboard_probes_;
+    return s.seq < seq;
+  };
+  // Segments tile [front.seq, snd_nxt_) and none is longer than an MSS, so
+  // the first ceil((seq - front.seq) / mss) of them all start below seq: the
+  // answer's index is at least that, and exactly that while they are all
+  // full-sized. Probe it; on a miss (sub-MSS segments below), binary-search
+  // the rest.
+  const auto n = static_cast<std::int64_t>(segments_.size());
+  const std::int64_t ahead = n == 0 ? 0 : seq - segments_.front().seq;
+  const std::int64_t bound = ahead <= 0 ? 0 : std::min(n, (ahead + cfg_.mss - 1) / cfg_.mss);
+  auto it = segments_.begin() + bound;
+  if (it != segments_.end() && below(*it)) {
+    it = std::partition_point(it + 1, segments_.end(), below);
+  }
+  assert(it == std::partition_point(segments_.begin(), segments_.end(),
+                                    [seq](const Segment& s) { return s.seq < seq; }));
+  return it;
 }
 
 ByteCount TcpSender::apply_sack(const sim::Packet& ack) {

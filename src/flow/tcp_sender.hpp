@@ -102,6 +102,12 @@ class TcpSender : public sim::PacketSink {
   [[nodiscard]] Time limited_time(SendLimit limit) const;
   [[nodiscard]] bool completed() const { return completed_; }
   [[nodiscard]] sim::FlowId flow_id() const { return cfg_.flow_id; }
+  /// Scoreboard position lookups (SACK blocks and both scan cursors) made
+  /// so far, and the segments they compared against a sequence number in
+  /// total. Exact counts (tests / introspection): a full-MSS flow's lookup
+  /// costs one probe, a sub-MSS flow's falls back to a binary search.
+  [[nodiscard]] std::uint64_t scoreboard_lookups() const { return scoreboard_lookups_; }
+  [[nodiscard]] std::uint64_t scoreboard_probes() const { return scoreboard_probes_; }
 
   /// Invoked once, when the app finishes and all its bytes are ACKed.
   void set_on_complete(std::function<void(Time)> fn) { on_complete_ = std::move(fn); }
@@ -133,6 +139,9 @@ class TcpSender : public sim::PacketSink {
   void on_pacing_fire();
   void transmit(Segment& seg, bool is_retx);
   /// First segment with seq >= `seq` (segments_ is contiguous and ascending).
+  /// Probes the index an all-full-MSS scoreboard would give first, and
+  /// binary-searches the segments above it on a miss; Debug builds check
+  /// the result against a binary search over the whole deque.
   [[nodiscard]] std::deque<Segment>::iterator first_segment_at(std::int64_t seq);
   /// Marks segments covered by the ACK's SACK blocks, then infers losses
   /// below the raised SACK edge. Returns bytes newly SACKed (0 if none).
@@ -189,6 +198,8 @@ class TcpSender : public sim::PacketSink {
   /// retx_queued, so repair resumes here. Reset to 0 wherever retx_queued
   /// is cleared (recovery exit and the RTO epoch).
   std::int64_t hole_scan_seq_{0};
+  std::uint64_t scoreboard_lookups_{0};
+  std::uint64_t scoreboard_probes_{0};
 
   /// (ack arrival, receiver bytes-arrived counter) samples for delivery-rate
   /// estimation. The counter is arrival-paced at the receiver, so rate

@@ -36,11 +36,20 @@ std::optional<FqCoDelQueue::Timestamped> FqCoDelQueue::pop_head(SubQueue& q) {
   return head;
 }
 
-void FqCoDelQueue::drop_from_fattest(Time now) {
-  (void)now;
+void FqCoDelQueue::drop_from_fattest() {
+  // Every backlogged bucket is on exactly one of the two DRR lists, so only
+  // they are walked. Ties go to the lowest bucket index, so the victim never
+  // depends on list order.
   SubQueue* fattest = nullptr;
-  for (auto& q : queues_) {
-    if (!q.fifo.empty() && (fattest == nullptr || q.bytes > fattest->bytes)) fattest = &q;
+  for (const auto* list : {&new_queues_, &old_queues_}) {
+    for (const std::uint32_t idx : *list) {
+      SubQueue& q = queues_[idx];
+      if (q.fifo.empty()) continue;
+      if (fattest == nullptr || q.bytes > fattest->bytes ||
+          (q.bytes == fattest->bytes && &q < fattest)) {
+        fattest = &q;
+      }
+    }
   }
   if (fattest == nullptr) return;
   auto victim = pop_head(*fattest);
@@ -67,7 +76,7 @@ bool FqCoDelQueue::enqueue(const sim::Packet& pkt, Time now) {
   // Buffer stealing instead of tail drop: the arriving packet is admitted
   // and the fattest queue pays. (May evict the packet just added if its own
   // queue is the fattest.)
-  while (backlog_bytes_ > cfg_.capacity_bytes) drop_from_fattest(now);
+  while (backlog_bytes_ > cfg_.capacity_bytes) drop_from_fattest();
   return true;
 }
 

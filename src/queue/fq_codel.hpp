@@ -75,8 +75,9 @@ class FqCoDelQueue : public sim::Qdisc {
   std::optional<sim::Packet> codel_dequeue(SubQueue& q, Time now);
   [[nodiscard]] Time control_law(Time t, std::uint32_t count) const;
   std::optional<Timestamped> pop_head(SubQueue& q);
-  /// Buffer stealing: drop one packet from the head of the fattest queue.
-  void drop_from_fattest(Time now);
+  /// Buffer stealing: drop one packet from the head of the fattest queue
+  /// (most bytes, lowest bucket index on ties). O(active buckets).
+  void drop_from_fattest();
 
   FqCoDelConfig cfg_;
   std::vector<SubQueue> queues_;

@@ -534,5 +534,56 @@ TEST(ScoreboardGolden, AllAcksLostRto) {
   EXPECT_EQ(sched.events_executed(), 33u);
 }
 
+TEST(ScoreboardGolden, SubMssAppLimitedMix) {
+  // Rate-limited apps hand the sender whatever accrued since the last ACK,
+  // so their segments are mostly sub-MSS; together they overrun a shallow
+  // drop-tail buffer and sit in SACK recovery. A lookup's full-MSS index
+  // bound then misses and falls back to the binary search, and the pins
+  // equal a plain binary search over the whole scoreboard.
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 0.25;
+  core::DumbbellScenario net{cfg};
+  for (const double mbps : {3.0, 4.0, 5.0}) {
+    net.add_flow(core::make_cca_factory("cubic")(),
+                 std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(mbps)));
+  }
+  net.run_until(Time::sec(8.0));
+  // bytes_sent, bytes_retransmitted, bytes_acked, packets_sent,
+  // retransmissions, rto_events, tail_probes, recovery_episodes, rtt_samples
+  const std::array<std::array<std::uint64_t, 9>, 3> want{{
+      {2198114, 374302, 2031594, 2435, 284, 5, 5, 40, 1176},  // 3 Mbit/s
+      {3823340, 115490, 3807412, 2777, 83, 0, 0, 51, 1997},   // 4 Mbit/s
+      {3661100, 126892, 3650964, 2623, 91, 0, 0, 52, 1882},   // 5 Mbit/s
+  }};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TcpSender& sender = net.flow(i).sender();
+    EXPECT_EQ(stat_fields(sender.stats()), want[i]) << "flow " << i;
+    EXPECT_GT(sender.scoreboard_probes(), sender.scoreboard_lookups())
+        << "flow " << i << ": the sub-MSS miss path must run";
+  }
+  EXPECT_EQ(net.scheduler().events_executed(), 26623u);
+}
+
+TEST(ScoreboardLookup, FullMssFlowProbesOncePerLookup) {
+  // Backlogged flows send only full-MSS segments, so the index bound is the
+  // answer: SACK-block and cursor lookups through a quarter-BDP buffer cost
+  // at most one probe each (none when the bound is past the last segment).
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 0.25;
+  core::DumbbellScenario net{cfg};
+  for (const char* name : {"cubic", "reno"}) {
+    net.add_flow(core::make_cca_factory(name)(), std::make_unique<app::BulkApp>());
+  }
+  net.run_until(Time::sec(8.0));
+  for (std::size_t i = 0; i < 2; ++i) {
+    const TcpSender& sender = net.flow(i).sender();
+    EXPECT_GT(sender.stats().recovery_episodes, 0u) << "flow " << i;
+    ASSERT_GT(sender.scoreboard_lookups(), 1000u) << "flow " << i;
+    EXPECT_LE(static_cast<double>(sender.scoreboard_probes()),
+              1.1 * static_cast<double>(sender.scoreboard_lookups()))
+        << "flow " << i;
+  }
+}
+
 }  // namespace
 }  // namespace ccc::flow

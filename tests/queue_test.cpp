@@ -1,6 +1,9 @@
 // Unit tests for queueing disciplines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "queue/pie.hpp"
 #include "queue/sfq.hpp"
 #include "queue/token_bucket.hpp"
+#include "util/rng.hpp"
 
 namespace ccc::queue {
 namespace {
@@ -580,6 +584,115 @@ TEST(FqCoDel, BufferStealingDropsFromFattestQueue) {
     if (out->flow == 2) ++flow2;
   }
   EXPECT_EQ(flow2, 2u);
+}
+
+TEST(FqCoDel, BufferStealingTieGoesToLowestBucket) {
+  // Two buckets hold equal bytes when the buffer overflows. Whichever of
+  // them went active first (and so sits first on the new-queue list), the
+  // lower bucket index pays, as a scan over all buckets would choose.
+  FqCoDelConfig cfg;
+  cfg.capacity_bytes = 4'000;
+  cfg.n_queues = 8;
+  // Flows in three distinct buckets, `lo` below `hi`.
+  std::vector<sim::FlowId> flows;
+  {
+    FqCoDelQueue probe{cfg};
+    std::set<std::uint32_t> seen;
+    for (sim::FlowId f = 1; flows.size() < 3; ++f) {
+      if (seen.insert(probe.bucket_of(f)).second) flows.push_back(f);
+    }
+    std::sort(flows.begin(), flows.begin() + 2, [&](sim::FlowId a, sim::FlowId b) {
+      return probe.bucket_of(a) < probe.bucket_of(b);
+    });
+  }
+  const sim::FlowId lo = flows[0];
+  const sim::FlowId hi = flows[1];
+  const sim::FlowId third = flows[2];
+  for (const bool hi_first : {true, false}) {
+    FqCoDelQueue q{cfg};
+    for (const sim::FlowId f : hi_first ? std::vector{hi, lo} : std::vector{lo, hi}) {
+      q.enqueue(pkt(f, 1000), Time::zero());
+      q.enqueue(pkt(f, 1000), Time::zero());
+    }
+    q.enqueue(pkt(third, 100), Time::zero());  // 4,100 bytes: one steal
+    EXPECT_EQ(q.stats().dropped_packets, 1u);
+    std::map<sim::FlowId, int> left;
+    while (auto out = q.dequeue(Time::zero())) ++left[out->flow];
+    EXPECT_EQ(left[lo], 1) << "hi_first=" << hi_first;
+    EXPECT_EQ(left[hi], 2) << "hi_first=" << hi_first;
+    EXPECT_EQ(left[third], 1) << "hi_first=" << hi_first;
+  }
+}
+
+TEST(FqCoDel, BufferStealingMatchesFullScanUnderChurn) {
+  // Seeded random enqueue/dequeue churn through a small shared buffer,
+  // checked against a model that keeps every bucket's FIFO and picks each
+  // steal victim by a scan over all buckets (most bytes, lowest index on
+  // ties). Time stands still, so CoDel never drops and every drop is a
+  // steal. A wrong victim leaves a packet in the model that the queue no
+  // longer holds: a later dequeue then misses the model's bucket head.
+  Rng rng{2024};
+  for (const std::uint32_t n_queues : {2u, 3u, 5u, 16u, 64u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      FqCoDelConfig cfg;
+      cfg.n_queues = n_queues;
+      cfg.capacity_bytes = rng.uniform_int(2'000, 12'000);
+      cfg.hash_seed = static_cast<std::uint64_t>(trial);
+      FqCoDelQueue q{cfg};
+      std::vector<std::deque<sim::Packet>> model(n_queues);
+      std::vector<ByteCount> model_bytes(n_queues, 0);
+      ByteCount model_backlog = 0;
+      std::uint64_t model_drops = 0;
+      const auto n_flows = static_cast<sim::FlowId>(rng.uniform_int(2, 3 * n_queues));
+      // Whole-kilobyte sizes in half the trials make equal-byte ties common.
+      const bool coarse = trial % 2 == 0;
+      const auto check_dequeue = [&] {
+        auto out = q.dequeue(Time::zero());
+        if (model_backlog == 0) {
+          ASSERT_FALSE(out.has_value());
+          return;
+        }
+        ASSERT_TRUE(out.has_value());
+        auto& fifo = model[q.bucket_of(out->flow)];
+        ASSERT_FALSE(fifo.empty());
+        ASSERT_EQ(out->seq, fifo.front().seq) << "flow " << out->flow;
+        model_bytes[q.bucket_of(out->flow)] -= fifo.front().size_bytes;
+        model_backlog -= fifo.front().size_bytes;
+        fifo.pop_front();
+      };
+      std::int64_t next_seq = 0;
+      for (int op = 0; op < 600; ++op) {
+        if (rng.chance(0.35)) {
+          ASSERT_NO_FATAL_FAILURE(check_dequeue()) << "n_queues " << n_queues << " op " << op;
+        } else {
+          const auto flow = static_cast<sim::FlowId>(rng.uniform_int(1, n_flows));
+          const ByteCount size = coarse ? 1000 * rng.uniform_int(1, 3) : rng.uniform_int(64, 1500);
+          auto p = pkt(flow, size);
+          p.seq = next_seq++;
+          q.enqueue(p, Time::zero());
+          const std::uint32_t b = q.bucket_of(flow);
+          model[b].push_back(p);
+          model_bytes[b] += size;
+          model_backlog += size;
+          while (model_backlog > cfg.capacity_bytes) {
+            std::uint32_t fattest = 0;
+            for (std::uint32_t i = 1; i < n_queues; ++i) {
+              if (model_bytes[i] > model_bytes[fattest]) fattest = i;
+            }
+            model_bytes[fattest] -= model[fattest].front().size_bytes;
+            model_backlog -= model[fattest].front().size_bytes;
+            model[fattest].pop_front();
+            ++model_drops;
+          }
+        }
+        ASSERT_EQ(q.stats().dropped_packets, model_drops) << "n_queues " << n_queues;
+        ASSERT_EQ(q.backlog_bytes(), model_backlog) << "n_queues " << n_queues;
+      }
+      while (model_backlog > 0) ASSERT_NO_FATAL_FAILURE(check_dequeue());
+      ASSERT_NO_FATAL_FAILURE(check_dequeue());  // and the queue is empty too
+      EXPECT_GT(model_drops, 0u) << "n_queues " << n_queues << " trial " << trial;
+    }
+  }
 }
 
 // ---------- PIE behavior ----------
