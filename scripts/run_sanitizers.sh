@@ -14,8 +14,10 @@
 #          whose wheel/ready/batch and active-batch-list index arithmetic
 #          fails the same way, and the transport suites — flow, CCA, Nimbus
 #          and util — whose SACK-scoreboard cursors, reassembly buffer and
-#          windowed min/max deques do too — and the qdisc suite, whose
-#          bucket lists and buffer-stealing scan do as well)
+#          windowed min/max deques do too — and the `queue` suites: the
+#          qdisc unit tests, the every-qdisc property sweep, HFQ and the
+#          DCTCP/ECN marking tests, whose bucket lists, buffer-stealing scan
+#          and shared PacketFifo do as well)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.

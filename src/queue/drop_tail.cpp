@@ -9,27 +9,24 @@ DropTailQueue::DropTailQueue(ByteCount capacity_bytes, ByteCount ecn_threshold_b
   assert(capacity_bytes_ > 0);
 }
 
-bool DropTailQueue::enqueue(const sim::Packet& pkt, Time /*now*/) {
+bool DropTailQueue::enqueue(const sim::Packet& pkt, Time now) {
   ++stats_.enqueued_packets;  // offered (see QdiscStats contract)
-  if (backlog_bytes_ + pkt.size_bytes > capacity_bytes_) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+  if (fifo_.bytes() + pkt.size_bytes > capacity_bytes_) {
+    stats_.record_drop(pkt);
     return false;
   }
-  fifo_.push_back(pkt);
-  if (ecn_threshold_ > 0 && pkt.ecn_capable && backlog_bytes_ >= ecn_threshold_) {
+  const bool mark = ecn_threshold_ > 0 && pkt.ecn_capable && fifo_.bytes() >= ecn_threshold_;
+  fifo_.push(pkt, now);
+  if (mark) {
     fifo_.back().ecn_marked = true;
     ++stats_.ecn_marked_packets;
   }
-  backlog_bytes_ += pkt.size_bytes;
   return true;
 }
 
 std::optional<sim::Packet> DropTailQueue::dequeue(Time /*now*/) {
   if (fifo_.empty()) return std::nullopt;
-  sim::Packet pkt = fifo_.front();
-  fifo_.pop_front();
-  backlog_bytes_ -= pkt.size_bytes;
+  sim::Packet pkt = fifo_.pop_front();
   ++stats_.dequeued_packets;
   return pkt;
 }

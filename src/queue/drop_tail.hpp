@@ -6,8 +6,7 @@
 // uses DropTail as the "no operator intervention" baseline.
 #pragma once
 
-#include <deque>
-
+#include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 
 namespace ccc::queue {
@@ -23,7 +22,7 @@ class DropTailQueue : public sim::Qdisc {
   bool enqueue(const sim::Packet& pkt, Time now) override;
   std::optional<sim::Packet> dequeue(Time now) override;
   [[nodiscard]] Time next_ready(Time now) const override;
-  [[nodiscard]] ByteCount backlog_bytes() const override { return backlog_bytes_; }
+  [[nodiscard]] ByteCount backlog_bytes() const override { return fifo_.bytes(); }
   [[nodiscard]] std::size_t backlog_packets() const override { return fifo_.size(); }
 
   [[nodiscard]] ByteCount capacity_bytes() const { return capacity_bytes_; }
@@ -31,8 +30,7 @@ class DropTailQueue : public sim::Qdisc {
  private:
   ByteCount capacity_bytes_;
   ByteCount ecn_threshold_;
-  ByteCount backlog_bytes_{0};
-  std::deque<sim::Packet> fifo_;
+  PacketFifo fifo_;
 };
 
 }  // namespace ccc::queue

@@ -20,10 +20,9 @@ DrrFairQueue::DrrFairQueue(ByteCount capacity_bytes, KeyFn key_fn, ByteCount qua
 
 std::uint64_t DrrFairQueue::key_of(const sim::Packet& pkt) const { return key_fn_(pkt); }
 
-bool DrrFairQueue::enqueue(const sim::Packet& pkt, Time /*now*/) {
+bool DrrFairQueue::enqueue(const sim::Packet& pkt, Time now) {
   auto& q = queues_[key_of(pkt)];
-  q.pkts.push_back(pkt);
-  q.bytes += pkt.size_bytes;
+  q.pkts.push(pkt, now);
   backlog_bytes_ += pkt.size_bytes;
   ++backlog_packets_;
   ++stats_.enqueued_packets;  // offered == admitted here: DRR evicts after admitting
@@ -45,20 +44,17 @@ void DrrFairQueue::drop_from_longest() {
   std::uint64_t victim = 0;
   ByteCount longest = -1;
   for (const auto& [key, q] : queues_) {
-    if (q.bytes > longest) {
-      longest = q.bytes;
+    if (q.pkts.bytes() > longest) {
+      longest = q.pkts.bytes();
       victim = key;
     }
   }
   auto& q = queues_.at(victim);
   assert(!q.pkts.empty());
-  const sim::Packet dropped = q.pkts.back();
-  q.pkts.pop_back();
-  q.bytes -= dropped.size_bytes;
+  const sim::Packet dropped = q.pkts.pop_back();
   backlog_bytes_ -= dropped.size_bytes;
   --backlog_packets_;
-  ++stats_.dropped_packets;
-  stats_.dropped_bytes += dropped.size_bytes;
+  stats_.record_drop(dropped);
   // If the victim queue emptied, it will be lazily removed from active_ in
   // dequeue(); leaving the stale key is harmless.
 }
@@ -81,9 +77,7 @@ std::optional<sim::Packet> DrrFairQueue::dequeue(Time /*now*/) {
       active_.push_back(key);
       continue;
     }
-    sim::Packet pkt = q.pkts.front();
-    q.pkts.pop_front();
-    q.bytes -= pkt.size_bytes;
+    sim::Packet pkt = q.pkts.pop_front();
     q.deficit -= pkt.size_bytes;
     backlog_bytes_ -= pkt.size_bytes;
     --backlog_packets_;

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 
 namespace ccc::queue {
@@ -49,8 +50,7 @@ class DrrFairQueue : public sim::Qdisc {
 
  private:
   struct SubQueue {
-    std::deque<sim::Packet> pkts;
-    ByteCount bytes{0};
+    PacketFifo pkts;
     ByteCount deficit{0};
     bool active{false};
   };

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <vector>
 
+#include "queue/codel.hpp"
 #include "sim/qdisc.hpp"
 
 namespace ccc::queue {
@@ -49,32 +49,15 @@ class FqCoDelQueue : public sim::Qdisc {
   [[nodiscard]] std::uint32_t bucket_of(sim::FlowId flow) const;
 
  private:
-  struct Timestamped {
-    sim::Packet pkt;
-    Time enqueued_at;
-  };
-
   /// One hashed sub-queue: its FIFO, DRR deficit, and a private CoDel
   /// dropping-state machine (RFC 8290 §4.2: "each queue runs CoDel").
   struct SubQueue {
-    std::deque<Timestamped> fifo;
-    ByteCount bytes{0};
+    PacketFifo fifo;
     ByteCount deficit{0};
     bool on_list{false};  ///< linked into new_queues_ or old_queues_
-    // CoDel state (same variables as CoDelQueue; per-queue here).
-    bool dropping{false};
-    std::uint32_t count{0};
-    std::uint32_t last_count{0};
-    Time first_above_time{Time::zero()};
-    Time drop_next{Time::zero()};
+    CoDelState codel;
   };
 
-  /// CoDel head-of-queue processing for one sub-queue: drops/marks per the
-  /// control law and returns the packet to hand to DRR, or nullopt if the
-  /// queue drained entirely. Updates the shared stats ledger.
-  std::optional<sim::Packet> codel_dequeue(SubQueue& q, Time now);
-  [[nodiscard]] Time control_law(Time t, std::uint32_t count) const;
-  std::optional<Timestamped> pop_head(SubQueue& q);
   /// Buffer stealing: drop one packet from the head of the fattest queue
   /// (most bytes, lowest bucket index on ties). O(active buckets).
   void drop_from_fattest();

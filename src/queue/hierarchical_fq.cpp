@@ -79,29 +79,26 @@ void HierarchicalFairQueue::activate_path(ClassId leaf) {
   }
 }
 
-bool HierarchicalFairQueue::enqueue(const sim::Packet& pkt, Time /*now*/) {
+bool HierarchicalFairQueue::enqueue(const sim::Packet& pkt, Time now) {
   ++stats_.enqueued_packets;  // offered (see QdiscStats contract)
   const ClassId cls = classifier_(pkt);
   if (cls == kRootClass || cls >= nodes_.size() || !nodes_[cls].is_leaf) {
     ++unclassified_drops_;
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+    stats_.record_drop(pkt);
     return false;
   }
   // Per-leaf tail drop against the leaf's private buffer budget: classes
   // cannot evict each other's packets, so closed-loop flows in one class
   // never see loss caused by a burst in another.
   if (nodes_[cls].backlog + pkt.size_bytes > leaf_budget(cls)) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+    stats_.record_drop(pkt);
     return false;
   }
-  nodes_[cls].fifo.push_back(pkt);
+  nodes_[cls].fifo.push(pkt, now);
   for (ClassId n = cls;; n = nodes_[n].parent) {
     nodes_[n].backlog += pkt.size_bytes;
     if (n == kRootClass) break;
   }
-  backlog_bytes_ += pkt.size_bytes;
   ++backlog_packets_;
   activate_path(cls);
   return true;
@@ -129,9 +126,7 @@ std::optional<sim::Packet> HierarchicalFairQueue::dequeue(Time /*now*/) {
   const ClassId leaf = select_leaf(kRootClass);
   if (leaf == kRootClass) return std::nullopt;
 
-  Node& l = nodes_[leaf];
-  sim::Packet pkt = l.fifo.front();
-  l.fifo.pop_front();
+  const sim::Packet pkt = nodes_[leaf].fifo.pop_front();
 
   // Charge the packet along the path: SFQ tag advance at every (server,
   // child) edge, plus backlog/served accounting; retire emptied nodes.
@@ -150,7 +145,6 @@ std::optional<sim::Packet> HierarchicalFairQueue::dequeue(Time /*now*/) {
       siblings.erase(std::find(siblings.begin(), siblings.end(), n));
     }
   }
-  backlog_bytes_ -= pkt.size_bytes;
   --backlog_packets_;
   ++stats_.dequeued_packets;
   return pkt;

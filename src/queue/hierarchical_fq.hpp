@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 
 namespace ccc::queue {
@@ -56,7 +56,7 @@ class HierarchicalFairQueue : public sim::Qdisc {
   bool enqueue(const sim::Packet& pkt, Time now) override;
   std::optional<sim::Packet> dequeue(Time now) override;
   [[nodiscard]] Time next_ready(Time now) const override;
-  [[nodiscard]] ByteCount backlog_bytes() const override { return backlog_bytes_; }
+  [[nodiscard]] ByteCount backlog_bytes() const override { return nodes_[kRootClass].backlog; }
   [[nodiscard]] std::size_t backlog_packets() const override { return backlog_packets_; }
 
   /// Bytes dequeued per class (includes descendants' traffic for interior
@@ -89,7 +89,7 @@ class HierarchicalFairQueue : public sim::Qdisc {
     ByteCount served{0};
 
     // Leaf-only FIFO and its cached buffer budget (0 = stale).
-    std::deque<sim::Packet> fifo;
+    PacketFifo fifo;
     ByteCount budget{0};
   };
 
@@ -103,7 +103,6 @@ class HierarchicalFairQueue : public sim::Qdisc {
 
   ByteCount capacity_bytes_;
   Classifier classifier_;
-  ByteCount backlog_bytes_{0};
   std::size_t backlog_packets_{0};
   std::uint64_t unclassified_drops_{0};
   std::vector<Node> nodes_;  // index == ClassId

@@ -32,16 +32,14 @@ PerUserIsolation::UserQueue& PerUserIsolation::queue_for(sim::UserId user) {
   return it->second;
 }
 
-bool PerUserIsolation::enqueue(const sim::Packet& pkt, Time /*now*/) {
+bool PerUserIsolation::enqueue(const sim::Packet& pkt, Time now) {
   ++stats_.enqueued_packets;  // offered (see QdiscStats contract)
   UserQueue& q = queue_for(pkt.user);
-  if (q.bytes + pkt.size_bytes > per_user_capacity_) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+  if (q.pkts.bytes() + pkt.size_bytes > per_user_capacity_) {
+    stats_.record_drop(pkt);
     return false;
   }
-  q.pkts.push_back(pkt);
-  q.bytes += pkt.size_bytes;
+  q.pkts.push(pkt, now);
   backlog_bytes_ += pkt.size_bytes;
   ++backlog_packets_;
   return true;
@@ -57,10 +55,8 @@ std::optional<sim::Packet> PerUserIsolation::dequeue(Time now) {
     UserQueue& q = users_.at(user);
     if (q.pkts.empty()) continue;
     if (!q.bucket.conforms(q.pkts.front().size_bytes, now)) continue;
-    sim::Packet pkt = q.pkts.front();
+    sim::Packet pkt = q.pkts.pop_front();
     q.bucket.consume(pkt.size_bytes);
-    q.pkts.pop_front();
-    q.bytes -= pkt.size_bytes;
     backlog_bytes_ -= pkt.size_bytes;
     --backlog_packets_;
     ++stats_.dequeued_packets;

@@ -12,6 +12,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "queue/packet_fifo.hpp"
 #include "queue/token_bucket.hpp"
 #include "sim/qdisc.hpp"
 
@@ -38,8 +39,7 @@ class PerUserIsolation : public sim::Qdisc {
   struct UserQueue {
     explicit UserQueue(TokenBucket tb) : bucket{std::move(tb)} {}
     TokenBucket bucket;
-    std::deque<sim::Packet> pkts;
-    ByteCount bytes{0};
+    PacketFifo pkts;
   };
 
   UserQueue& queue_for(sim::UserId user);

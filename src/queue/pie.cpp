@@ -24,7 +24,7 @@ void PieQueue::maybe_update(Time now) {
     // there is no rate yet; leave the estimate at zero — burst allowance
     // covers exactly this startup window.
     if (avg_drain_bytes_per_sec_ > 0.0) {
-      qdelay_ = Time::sec(static_cast<double>(backlog_bytes_) / avg_drain_bytes_per_sec_);
+      qdelay_ = Time::sec(static_cast<double>(fifo_.bytes()) / avg_drain_bytes_per_sec_);
     } else {
       qdelay_ = Time::zero();
     }
@@ -63,14 +63,12 @@ void PieQueue::maybe_update(Time now) {
   }
 }
 
-bool PieQueue::should_early_drop(const sim::Packet& pkt, Time now) {
-  (void)pkt;
-  (void)now;
+bool PieQueue::should_early_drop() {
   if (burst_allowance_ > Time::zero()) return false;
   // RFC 8033 §5.1 safeguards: never early-drop when the controller has no
   // real signal yet or the queue is trivially small.
   if (qdelay_old_ < cfg_.target / 2 && drop_prob_ < 0.2) return false;
-  if (backlog_bytes_ <= 2 * sim::kFullPacket) return false;
+  if (fifo_.bytes() <= 2 * sim::kFullPacket) return false;
   return rng_.uniform() < drop_prob_;
 }
 
@@ -78,43 +76,36 @@ bool PieQueue::enqueue(const sim::Packet& pkt, Time now) {
   ++stats_.enqueued_packets;  // offered (see QdiscStats contract)
   maybe_update(now);
 
-  if (backlog_bytes_ + pkt.size_bytes > cfg_.capacity_bytes) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+  if (fifo_.bytes() + pkt.size_bytes > cfg_.capacity_bytes) {
+    stats_.record_drop(pkt);
     return false;
   }
-  if (drop_prob_ > 0.0 && should_early_drop(pkt, now)) {
+  if (drop_prob_ > 0.0 && should_early_drop()) {
     // Below mark_ecnth, ECN-capable packets take a CE mark instead of the
     // drop — the controller advances identically either way.
     if (pkt.ecn_capable && drop_prob_ < cfg_.mark_ecnth) {
-      sim::Packet marked = pkt;
-      marked.ecn_marked = true;
+      fifo_.push(pkt, now);
+      fifo_.back().ecn_marked = true;
       ++stats_.ecn_marked_packets;
-      fifo_.push_back({marked, now});
-      backlog_bytes_ += marked.size_bytes;
       return true;
     }
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+    stats_.record_drop(pkt);
     return false;
   }
-  fifo_.push_back({pkt, now});
-  backlog_bytes_ += pkt.size_bytes;
+  fifo_.push(pkt, now);
   return true;
 }
 
 std::optional<sim::Packet> PieQueue::dequeue(Time now) {
   maybe_update(now);
   if (fifo_.empty()) return std::nullopt;
-  Timestamped head = fifo_.front();
-  fifo_.pop_front();
-  backlog_bytes_ -= head.pkt.size_bytes;
+  sim::Packet head = fifo_.pop_front();
   ++stats_.dequeued_packets;
 
   // Departure-rate measurement (RFC 8033 §5.2): once at least DQ_THRESHOLD
   // bytes have drained in a cycle, fold bytes/elapsed into the average.
   if (dq_count_ == 0) dq_start_ = now;
-  dq_count_ += head.pkt.size_bytes;
+  dq_count_ += head.size_bytes;
   if (dq_count_ >= kDqThreshold && now > dq_start_) {
     const double rate = static_cast<double>(dq_count_) / (now - dq_start_).to_sec();
     avg_drain_bytes_per_sec_ = avg_drain_bytes_per_sec_ == 0.0
@@ -122,7 +113,7 @@ std::optional<sim::Packet> PieQueue::dequeue(Time now) {
                                    : 0.9 * avg_drain_bytes_per_sec_ + 0.1 * rate;
     dq_count_ = 0;
   }
-  return head.pkt;
+  return head;
 }
 
 Time PieQueue::next_ready(Time now) const {

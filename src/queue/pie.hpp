@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 #include "util/rng.hpp"
 
@@ -41,7 +41,7 @@ class PieQueue : public sim::Qdisc {
   bool enqueue(const sim::Packet& pkt, Time now) override;
   std::optional<sim::Packet> dequeue(Time now) override;
   [[nodiscard]] Time next_ready(Time now) const override;
-  [[nodiscard]] ByteCount backlog_bytes() const override { return backlog_bytes_; }
+  [[nodiscard]] ByteCount backlog_bytes() const override { return fifo_.bytes(); }
   [[nodiscard]] std::size_t backlog_packets() const override { return fifo_.size(); }
 
   /// Current drop probability (telemetry / tests).
@@ -50,21 +50,15 @@ class PieQueue : public sim::Qdisc {
   [[nodiscard]] Time qdelay_estimate() const { return qdelay_; }
 
  private:
-  struct Timestamped {
-    sim::Packet pkt;
-    Time enqueued_at;
-  };
-
   /// Runs the periodic control-law update(s) owed as of `now`. Called
   /// lazily from enqueue/dequeue — qdiscs are not clock-driven objects.
   void maybe_update(Time now);
   /// The RFC 8033 §5.1 early-drop decision for an arriving packet.
-  [[nodiscard]] bool should_early_drop(const sim::Packet& pkt, Time now);
+  [[nodiscard]] bool should_early_drop();
 
   PieConfig cfg_;
   Rng rng_;
-  std::deque<Timestamped> fifo_;
-  ByteCount backlog_bytes_{0};
+  PacketFifo fifo_;
 
   double drop_prob_{0.0};
   Time qdelay_{Time::zero()};      ///< latest delay estimate

@@ -2,17 +2,9 @@
 
 #include <cassert>
 
-namespace ccc::queue {
+#include "util/rng.hpp"
 
-namespace {
-// splitmix64: a fast, well-mixed 64-bit hash.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
+namespace ccc::queue {
 
 SfqQueue::SfqQueue(ByteCount capacity_bytes, std::uint32_t buckets, std::uint64_t perturb_seed,
                    ByteCount quantum_bytes)
@@ -25,7 +17,7 @@ SfqQueue::SfqQueue(ByteCount capacity_bytes, std::uint32_t buckets, std::uint64_
 }
 
 std::uint32_t SfqQueue::bucket_of(sim::FlowId flow) const {
-  return static_cast<std::uint32_t>(mix64(flow ^ seed_) % buckets_);
+  return static_cast<std::uint32_t>(util::splitmix64(flow ^ seed_) % buckets_);
 }
 
 bool SfqQueue::enqueue(const sim::Packet& pkt, Time now) {

@@ -40,26 +40,20 @@ TokenBucketShaper::TokenBucketShaper(Rate rate, ByteCount burst_bytes, ByteCount
   assert(capacity_bytes_ > 0);
 }
 
-bool TokenBucketShaper::enqueue(const sim::Packet& pkt, Time /*now*/) {
+bool TokenBucketShaper::enqueue(const sim::Packet& pkt, Time now) {
   ++stats_.enqueued_packets;  // offered (see QdiscStats contract)
-  if (backlog_bytes_ + pkt.size_bytes > capacity_bytes_) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+  if (fifo_.bytes() + pkt.size_bytes > capacity_bytes_) {
+    stats_.record_drop(pkt);
     return false;
   }
-  fifo_.push_back(pkt);
-  backlog_bytes_ += pkt.size_bytes;
+  fifo_.push(pkt, now);
   return true;
 }
 
 std::optional<sim::Packet> TokenBucketShaper::dequeue(Time now) {
-  if (fifo_.empty()) return std::nullopt;
-  const sim::Packet& head = fifo_.front();
-  if (!bucket_.conforms(head.size_bytes, now)) return std::nullopt;
-  bucket_.consume(head.size_bytes);
-  sim::Packet pkt = head;
-  fifo_.pop_front();
-  backlog_bytes_ -= pkt.size_bytes;
+  if (fifo_.empty() || !bucket_.conforms(fifo_.front().size_bytes, now)) return std::nullopt;
+  sim::Packet pkt = fifo_.pop_front();
+  bucket_.consume(pkt.size_bytes);
   ++stats_.dequeued_packets;
   return pkt;
 }

@@ -8,9 +8,9 @@
 // jitter, which the jitter bench measures.
 #pragma once
 
-#include <deque>
 #include <memory>
 
+#include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 
 namespace ccc::queue {
@@ -51,14 +51,13 @@ class TokenBucketShaper : public sim::Qdisc {
   bool enqueue(const sim::Packet& pkt, Time now) override;
   std::optional<sim::Packet> dequeue(Time now) override;
   [[nodiscard]] Time next_ready(Time now) const override;
-  [[nodiscard]] ByteCount backlog_bytes() const override { return backlog_bytes_; }
+  [[nodiscard]] ByteCount backlog_bytes() const override { return fifo_.bytes(); }
   [[nodiscard]] std::size_t backlog_packets() const override { return fifo_.size(); }
 
  private:
   mutable TokenBucket bucket_;  // refill() mutates during const next_ready()
   ByteCount capacity_bytes_;
-  ByteCount backlog_bytes_{0};
-  std::deque<sim::Packet> fifo_;
+  PacketFifo fifo_;
 };
 
 /// Policer: token bucket on the *enqueue* side; non-conforming packets are

@@ -10,6 +10,7 @@
 
 #include "bench/cli.hpp"
 #include "runner/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace ccc::runner {
 
@@ -41,12 +42,9 @@ unsigned jobs_from_cli(int argc, char** argv, unsigned fallback) {
 }
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {
-  // splitmix64 finalizer over base + index * golden-ratio increment: cheap,
-  // stateless, and adjacent indices land in unrelated parts of the stream.
-  std::uint64_t z = base_seed + 0x9e37'79b9'7f4a'7c15ull * (task_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58'476d'1ce4'e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d0'49bb'1331'11ebull;
-  return z ^ (z >> 31);
+  // splitmix64 over base + index * golden-ratio increment: cheap, stateless,
+  // and adjacent indices land in unrelated parts of the stream.
+  return util::splitmix64(base_seed + 0x9e37'79b9'7f4a'7c15ull * task_index);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)

@@ -40,7 +40,7 @@ struct RunnerOptions {
 [[nodiscard]] unsigned jobs_from_cli(int argc, char** argv, unsigned fallback = 0);
 
 /// Derives an independent per-task seed from a base seed and task index
-/// (splitmix64 finalizer). Tasks seeded this way get decorrelated RNG
+/// (util::splitmix64). Tasks seeded this way get decorrelated RNG
 /// streams that do not depend on the job count or completion order.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index);
 

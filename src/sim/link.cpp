@@ -20,14 +20,7 @@ Link::Link(Scheduler& sched, Rate rate, Time prop_delay, std::unique_ptr<Qdisc> 
 }
 
 void Link::send(const Packet& pkt) {
-  if (sojourn_hist_ != nullptr) {
-    // Stamp the enqueue instant so the dequeue side can observe the sojourn.
-    Packet stamped = pkt;
-    stamped.enqueued_at = sched_.now();
-    qdisc_->enqueue(stamped, sched_.now());
-  } else {
-    qdisc_->enqueue(pkt, sched_.now());
-  }
+  qdisc_->enqueue(pkt, sched_.now());
   maybe_start_tx();
 }
 

@@ -59,8 +59,9 @@ struct Packet {
   bool ecn_marked{false};   ///< CE mark applied by a qdisc
 
   // --- telemetry ---
-  /// Stamped by an instrumented Link when the packet enters its qdisc;
-  /// zero() when telemetry is off. Sojourn = dequeue time - enqueued_at.
+  /// Stamped by the qdisc's queue::PacketFifo when a qdisc admits the
+  /// packet. Sojourn = dequeue time - enqueued_at; CoDel's controller and
+  /// the Link's sojourn histogram both read it.
   Time enqueued_at{Time::zero()};
 };
 

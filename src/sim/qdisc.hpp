@@ -29,6 +29,12 @@ struct QdiscStats {
   std::uint64_t dropped_packets{0};
   std::uint64_t ecn_marked_packets{0};
   ByteCount dropped_bytes{0};
+
+  /// Counts one dropped packet and its bytes.
+  void record_drop(const Packet& pkt) {
+    ++dropped_packets;
+    dropped_bytes += pkt.size_bytes;
+  }
 };
 
 /// Abstract queueing discipline.

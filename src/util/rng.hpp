@@ -74,4 +74,18 @@ class Rng {
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
+namespace util {
+
+/// splitmix64 (Steele, Lea & Flood): one golden-ratio Weyl step followed by
+/// the finalizer. A cheap, stateless, well-mixed 64-bit hash; adjacent
+/// inputs land in unrelated parts of the output space.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e37'79b9'7f4a'7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace util
+
 }  // namespace ccc

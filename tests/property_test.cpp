@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/fairness.hpp"
 #include "app/bulk.hpp"
@@ -18,7 +19,10 @@
 #include "queue/codel.hpp"
 #include "queue/drop_tail.hpp"
 #include "queue/drr_fair_queue.hpp"
+#include "queue/fq_codel.hpp"
+#include "queue/hierarchical_fq.hpp"
 #include "queue/per_user_isolation.hpp"
+#include "queue/pie.hpp"
 #include "queue/sfq.hpp"
 #include "queue/token_bucket.hpp"
 #include "util/rng.hpp"
@@ -28,7 +32,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Invariant 1: every qdisc conserves packets — enqueued == dequeued + dropped
-// + backlog, bytes included, under a randomized open-loop workload.
+// + backlog, bytes included, under a randomized open-loop workload — and
+// hands each packet back stamped with the instant it was offered (the Link's
+// sojourn histogram reads that stamp).
 // ---------------------------------------------------------------------------
 
 using QdiscFactory = std::function<std::unique_ptr<sim::Qdisc>()>;
@@ -66,6 +72,21 @@ class QdiscConservation : public ::testing::TestWithParam<int> {
          [] {
            return std::make_unique<queue::PerUserIsolation>(Rate::mbps(10), 5'000, 50'000);
          }},
+        {"fq_codel",
+         [] {
+           return std::make_unique<queue::FqCoDelQueue>(
+               queue::FqCoDelConfig{.capacity_bytes = 50'000, .n_queues = 4});
+         }},
+        {"pie", [] { return std::make_unique<queue::PieQueue>(50'000); }},
+        {"hfq",
+         [] {
+           // Two leaves (ids 1 and 2): user 1 alone, users 2 and 3 together.
+           auto hfq = std::make_unique<queue::HierarchicalFairQueue>(
+               50'000, [](const sim::Packet& p) -> queue::ClassId { return p.user == 1 ? 1 : 2; });
+           hfq->add_class(queue::kRootClass, 1.0);
+           hfq->add_class(queue::kRootClass, 2.0);
+           return hfq;
+         }},
     };
   }
 };
@@ -80,6 +101,14 @@ TEST_P(QdiscConservation, PacketsNeitherCreatedNorLeaked) {
   ByteCount bytes_offered = 0;
   ByteCount bytes_delivered = 0;
   Time now = Time::zero();
+  std::vector<Time> offered_at;  // indexed by seq
+  auto deliver = [&](const sim::Packet& pkt) {
+    ++delivered;
+    bytes_delivered += pkt.size_bytes;
+    ASSERT_LT(static_cast<std::size_t>(pkt.seq), offered_at.size()) << c.name;
+    EXPECT_EQ(pkt.enqueued_at, offered_at[static_cast<std::size_t>(pkt.seq)])
+        << c.name << ": seq " << pkt.seq << " not stamped with its offer time";
+  };
 
   for (int step = 0; step < 5000; ++step) {
     now += Time::us(rng.uniform_int(10, 300));
@@ -91,6 +120,8 @@ TEST_P(QdiscConservation, PacketsNeitherCreatedNorLeaked) {
       p.user = static_cast<sim::UserId>(rng.uniform_int(1, 3));
       p.size_bytes = rng.uniform_int(80, 1500);
       p.ecn_capable = rng.chance(0.5);
+      p.seq = static_cast<std::int64_t>(offered_at.size());
+      offered_at.push_back(now);
       ++offered;
       bytes_offered += p.size_bytes;
       q->enqueue(p, now);
@@ -99,10 +130,7 @@ TEST_P(QdiscConservation, PacketsNeitherCreatedNorLeaked) {
     if (rng.chance(0.7)) {
       const Time ready = q->next_ready(now);
       if (ready != Time::never() && ready <= now) {
-        if (auto pkt = q->dequeue(now)) {
-          ++delivered;
-          bytes_delivered += pkt->size_bytes;
-        }
+        if (auto pkt = q->dequeue(now)) deliver(*pkt);
       }
     }
   }
@@ -111,10 +139,7 @@ TEST_P(QdiscConservation, PacketsNeitherCreatedNorLeaked) {
     const Time ready = q->next_ready(now);
     ASSERT_NE(ready, Time::never()) << c.name << ": backlog but never ready";
     now = std::max(now, ready);
-    if (auto pkt = q->dequeue(now)) {
-      ++delivered;
-      bytes_delivered += pkt->size_bytes;
-    }
+    if (auto pkt = q->dequeue(now)) deliver(*pkt);
   }
 
   const auto& st = q->stats();
@@ -124,7 +149,7 @@ TEST_P(QdiscConservation, PacketsNeitherCreatedNorLeaked) {
   EXPECT_EQ(bytes_offered, bytes_delivered + st.dropped_bytes) << c.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllQdiscs, QdiscConservation, ::testing::Range(0, 9),
+INSTANTIATE_TEST_SUITE_P(AllQdiscs, QdiscConservation, ::testing::Range(0, 12),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return QdiscConservation::cases()[static_cast<std::size_t>(
                                                                  info.param)]

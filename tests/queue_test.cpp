@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "queue/codel.hpp"
@@ -13,10 +14,12 @@
 #include "queue/drr_fair_queue.hpp"
 #include "queue/fq_codel.hpp"
 #include "queue/hierarchical_fq.hpp"
+#include "queue/packet_fifo.hpp"
 #include "queue/per_user_isolation.hpp"
 #include "queue/pie.hpp"
 #include "queue/sfq.hpp"
 #include "queue/token_bucket.hpp"
+#include "runner/experiment_runner.hpp"
 #include "util/rng.hpp"
 
 namespace ccc::queue {
@@ -28,6 +31,83 @@ sim::Packet pkt(sim::FlowId flow, ByteCount size, sim::UserId user = 1) {
   p.user = user;
   p.size_bytes = size;
   return p;
+}
+
+// ---------- PacketFifo ----------
+
+TEST(PacketFifo, MatchesDequeModelUnderRandomOps) {
+  // Seeded push / pop_front / pop_back churn against a std::deque model.
+  // Phases alternate between growing and draining, so the FIFO empties and
+  // refills many times.
+  const auto check = [](const PacketFifo& fifo, const std::deque<sim::Packet>& model,
+                        ByteCount model_bytes) {
+    ASSERT_EQ(fifo.empty(), model.empty());
+    ASSERT_EQ(fifo.size(), model.size());
+    ASSERT_EQ(fifo.bytes(), model_bytes);
+    if (model.empty()) return;
+    ASSERT_EQ(fifo.front().seq, model.front().seq);
+    ASSERT_EQ(fifo.back().seq, model.back().seq);
+  };
+  const PacketFifo never_pushed;
+  ASSERT_NO_FATAL_FAILURE(check(never_pushed, {}, 0));
+
+  Rng rng{77};
+  PacketFifo fifo;
+  std::deque<sim::Packet> model;
+  ByteCount model_bytes = 0;
+  for (int op = 0; op < 20'000; ++op) {
+    const Time now = Time::us(op);
+    const double push_p = (op / 1000) % 2 == 0 ? 0.7 : 0.3;
+    if (model.empty() || rng.chance(push_p)) {
+      auto p = pkt(1, rng.uniform_int(40, 1500));
+      p.seq = op;
+      fifo.push(p, now);
+      p.enqueued_at = now;
+      model.push_back(p);
+      model_bytes += p.size_bytes;
+    } else {
+      const bool front = rng.chance(0.7);
+      const sim::Packet expected = front ? model.front() : model.back();
+      const sim::Packet got = front ? fifo.pop_front() : fifo.pop_back();
+      if (front) {
+        model.pop_front();
+      } else {
+        model.pop_back();
+      }
+      model_bytes -= expected.size_bytes;
+      ASSERT_EQ(got.seq, expected.seq) << "op " << op;
+      ASSERT_EQ(got.enqueued_at, expected.enqueued_at) << "op " << op;
+    }
+    ASSERT_NO_FATAL_FAILURE(check(fifo, model, model_bytes)) << "op " << op;
+  }
+}
+
+// ---------- splitmix64 users ----------
+
+TEST(SplitMix64, PinsSeedsAndBucketMaps) {
+  // Golden values: the sweep's per-cell seeds and the SFQ / FQ-CoDel
+  // flow->bucket maps all derive from util::splitmix64, and any change to
+  // them moves figure bytes.
+  EXPECT_EQ(util::splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(runner::derive_seed(0, 0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(runner::derive_seed(42, 0), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(runner::derive_seed(42, 1), 0x28efe333b266f103ULL);
+  EXPECT_EQ(runner::derive_seed(0x5eed, 7), 0x1289a69805c125b1ULL);
+  EXPECT_EQ(runner::derive_seed(~0ULL, 3), 0x6d1db36ccba982d2ULL);
+
+  FqCoDelConfig cfg;
+  cfg.capacity_bytes = 10'000;
+  cfg.hash_seed = 7;
+  const FqCoDelQueue fq{cfg};
+  const SfqQueue sfq{10'000, 64, 11};
+  const std::vector<std::pair<sim::FlowId, std::pair<std::uint32_t, std::uint32_t>>> golden{
+      {0, {471, 29}}, {1, {0, 10}},     {2, {858, 36}},
+      {3, {714, 54}}, {1000, {389, 12}}, {4'000'000'000u, {76, 27}},
+  };
+  for (const auto& [flow, buckets] : golden) {
+    EXPECT_EQ(fq.bucket_of(flow), buckets.first) << "flow " << flow;
+    EXPECT_EQ(sfq.bucket_of(flow), buckets.second) << "flow " << flow;
+  }
 }
 
 // ---------- DropTail ----------
@@ -566,6 +646,53 @@ TEST(FqCoDel, IsolatesBulkFromSparseDelay) {
     if (out && out->flow == 2) ++sparse_seen;
   }
   EXPECT_EQ(sparse_seen, 10u) << "every sparse packet must be delivered promptly";
+}
+
+TEST(FqCoDel, SingleBucketMatchesCoDel) {
+  // One bucket and a buffer that never fills reduce FQ-CoDel to one CoDel
+  // FIFO behind DRR, so it must make every drop and mark decision plain
+  // CoDel makes. Arrivals outpace departures by ~25% with a mix of ECT and
+  // non-ECT packets: a standing queue that enters and leaves dropping state.
+  FqCoDelConfig cfg;
+  cfg.capacity_bytes = 100'000'000;
+  cfg.n_queues = 1;
+  FqCoDelQueue fq{cfg};
+  CoDelQueue codel{cfg.capacity_bytes, cfg.target, cfg.interval};
+  Rng rng{8289};
+  std::int64_t seq = 0;
+  std::uint64_t compared = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const Time now = Time::us(500 * step);
+    const auto arrivals = rng.uniform_int(0, 2);
+    for (std::int64_t a = 0; a < arrivals; ++a) {
+      auto p = pkt(static_cast<sim::FlowId>(rng.uniform_int(1, 4)), rng.uniform_int(500, 1500));
+      p.seq = seq++;
+      p.ecn_capable = rng.chance(0.5);
+      fq.enqueue(p, now);
+      codel.enqueue(p, now);
+    }
+    if (!rng.chance(0.8)) continue;
+    const auto a = fq.dequeue(now);
+    const auto b = codel.dequeue(now);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+    if (!a) continue;
+    ASSERT_EQ(a->seq, b->seq) << "step " << step;
+    ASSERT_EQ(a->ecn_marked, b->ecn_marked) << "seq " << a->seq;
+    ++compared;
+  }
+  const auto& fs = fq.stats();
+  const auto& cs = codel.stats();
+  EXPECT_EQ(fs.enqueued_packets, cs.enqueued_packets);
+  EXPECT_EQ(fs.dequeued_packets, cs.dequeued_packets);
+  EXPECT_EQ(fs.dropped_packets, cs.dropped_packets);
+  EXPECT_EQ(fs.dropped_bytes, cs.dropped_bytes);
+  EXPECT_EQ(fs.ecn_marked_packets, cs.ecn_marked_packets);
+  EXPECT_EQ(fq.backlog_bytes(), codel.backlog_bytes());
+  EXPECT_EQ(fq.backlog_packets(), codel.backlog_packets());
+  // The oracle only means something if the controller actually acted.
+  EXPECT_GT(compared, 10'000u);
+  EXPECT_GT(cs.dropped_packets, 0u);
+  EXPECT_GT(cs.ecn_marked_packets, 0u);
 }
 
 TEST(FqCoDel, BufferStealingDropsFromFattestQueue) {
