@@ -30,7 +30,7 @@ using namespace ccc;
 /// fire-and-forget member form the simulator's periodic ticks use. With
 /// `churn` set, every hop also cancels the previous cancellable 200 ms
 /// member timer and arms a new one — TcpSender's RTO shape, which piles
-/// cancelled records into the wheel and exercises slab reuse + sweeping.
+/// cancelled records into the heap and exercises slab reuse + compaction.
 struct ChainDriver {
   sim::Scheduler& sched;
   int events;
@@ -196,7 +196,7 @@ struct ShapeMixedDriver {
     rto = sched.schedule_call_after(Time::ms(200), [](void*, std::uint64_t) {}, nullptr);
     // A 10 ms flight time at one departure/us keeps ~10,000 deliveries in
     // the air — parked in the SoA batch (the production Link path), not in
-    // the timer wheel, so the per-packet wheel bookkeeping disappears.
+    // the timer heap, so the heap holds only the chain and RTO timers.
     sched.schedule_deliver_batch_after(Time::ms(10), batch, proto);
     if (++count < kShapeEvents) {
       sched.schedule_member_fire_after<&ShapeMixedDriver::tick>(Time::us(1), this);

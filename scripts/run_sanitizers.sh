@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds and runs the two sanitizer jobs the repo's labels are cut for:
+# Builds and runs the two sanitizer jobs the repo's labels are cut for,
+# plus a Debug job that runs the asserts the other two compile out:
 #
 #   tsan   -DCCC_SANITIZE=thread             ctest -L sanitize
 #          (the concurrency tests: runner pool, telemetry merge, the
@@ -11,7 +12,7 @@
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the event engine's suites,
-#          whose wheel/ready/batch and active-batch-list index arithmetic
+#          whose heap and active-batch-list index arithmetic
 #          fails the same way, and the transport suites — flow, CCA, Nimbus
 #          and util — whose SACK-scoreboard cursors, reassembly buffer and
 #          windowed min/max deques do too — and the `queue` suites: the
@@ -19,8 +20,17 @@
 #          DCTCP/ECN marking tests, whose bucket lists, buffer-stealing scan
 #          and shared PacketFifo do as well)
 #
-# Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
-# Build trees land in build-tsan/ and build-asan/ next to build/.
+#   debug  -DCMAKE_BUILD_TYPE=Debug (asserts on, no sanitizer)
+#          ctest -L "sim|transport|queue"
+#          (tsan and asan build RelWithDebInfo, i.e. -DNDEBUG, so only this
+#          job runs the Debug-only checks: the scheduler's active-batch
+#          audit and its exact stale-entry count at every heap compaction,
+#          the sender's SACK-scoreboard audit on every ACK, and the
+#          scoreboard lookup oracle)
+#
+# Usage: scripts/run_sanitizers.sh [tsan|asan|debug|all]   (default: all)
+# Build trees land in build-tsan/, build-asan/ and build-debug/ next to
+# build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,23 +38,27 @@ jobs=$(nproc 2>/dev/null || echo 4)
 which=${1:-all}
 
 run_job() {
-  local name=$1 sanitize=$2 label=$3
+  local name=$1 build_type=$2 sanitize=$3 label=$4
   local dir="build-${name}"
-  echo "=== ${name}: CCC_SANITIZE=${sanitize}, ctest -L '${label}' ==="
-  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCCC_SANITIZE="${sanitize}"
+  echo "=== ${name}: ${build_type}, CCC_SANITIZE='${sanitize}', ctest -L '${label}' ==="
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE="${build_type}" -DCCC_SANITIZE="${sanitize}"
   cmake --build "${dir}" -j "${jobs}"
   ctest --test-dir "${dir}" -L "${label}" --output-on-failure -j "${jobs}"
 }
 
+asan_labels="robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"
+
 case "${which}" in
-  tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue" ;;
+  tsan) run_job tsan RelWithDebInfo thread sanitize ;;
+  asan) run_job asan RelWithDebInfo address,undefined "${asan_labels}" ;;
+  debug) run_job debug Debug "" "sim|transport|queue" ;;
   all)
-    run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"
+    run_job tsan RelWithDebInfo thread sanitize
+    run_job asan RelWithDebInfo address,undefined "${asan_labels}"
+    run_job debug Debug "" "sim|transport|queue"
     ;;
   *)
-    echo "usage: $0 [tsan|asan|all]" >&2
+    echo "usage: $0 [tsan|asan|debug|all]" >&2
     exit 2
     ;;
 esac

@@ -1,21 +1,9 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace ccc::sim {
-
-namespace {
-/// Wheel level whose span covers `delta` ticks.
-/// Precondition: kMinWheelTicks <= delta < kMaxWheelTicks.
-int level_for(std::uint64_t delta) {
-  if (delta < 64) return 0;
-  if (delta < 64 * 64) return 1;
-  if (delta < 64 * 64 * 64) return 2;
-  return 3;
-}
-}  // namespace
 
 std::uint32_t Scheduler::acquire_slot() {
   std::uint32_t slot;
@@ -40,53 +28,22 @@ void Scheduler::release_slot(std::uint32_t slot) {
 }
 
 void Scheduler::push_heap_entry(const Entry& e) {
-  if (e.slot != kNoSlot) slots_[e.slot].loc = kLocHeap;
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-void Scheduler::place(const Entry& e) {
-  // Every far-enough event goes through a bucket: cancellable events because
-  // a cancelled bucket entry dies in place without touching the heap, and
-  // fire-and-forget ones (slot == kNoSlot) because parking far-future
-  // events in buckets keeps the binary heap down to the current tick's worth
-  // of events.
-  const std::uint64_t tick = tick_of(e.at);
-  const std::uint64_t delta = tick - wheel_tick_;  // at >= now implies tick >= cursor - 1
-  if (delta >= kMinWheelTicks && delta < kMaxWheelTicks &&
-      static_cast<std::int64_t>(delta) > 0) {
-    const int level = level_for(delta);
-    const std::uint64_t bucket = (tick >> (kSlotBits * level)) & kSlotMask;
-    wheel_[level][bucket].push_back(e);
-    occupied_[level] |= 1ull << bucket;
-    if (e.slot != kNoSlot) slots_[e.slot].loc = wheel_loc(level, bucket);
-    ++wheel_size_;
-    if (wheel_next_valid_) {
-      // Keep the memoized next-work tick exact: a level-0 entry acts at its
-      // own tick, a higher-level one when the cursor enters its block
-      // (which is strictly ahead of the cursor — delta >= 64^level puts the
-      // target in a later block, so no wrap ambiguity here).
-      const std::uint64_t action =
-          level == 0 ? tick : (tick >> (kSlotBits * level)) << (kSlotBits * level);
-      if (action < wheel_next_) wheel_next_ = action;
-    }
-    return;
-  }
-  push_heap_entry(e);
 }
 
 EventId Scheduler::schedule_call_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
   assert(at >= now_ && "cannot schedule into the past");
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t gen = slots_[slot].gen;
-  place({at, next_seq_++, slot, gen, fn, ctx, arg});
+  push_heap_entry({at, next_seq_++, slot, gen, fn, ctx, arg});
   return make_id(slot, gen);
 }
 
 void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
   assert(at >= now_ && "cannot schedule into the past");
   ++live_;
-  place({at, next_seq_++, kNoSlot, 0, fn, ctx, arg});
+  push_heap_entry({at, next_seq_++, kNoSlot, 0, fn, ctx, arg});
 }
 
 Scheduler::BatchId Scheduler::register_delivery_batch(PacketSink& sink) {
@@ -204,214 +161,47 @@ void Scheduler::cancel(EventId id) {
   if (slot >= slots_.size()) return;
   Slot& s = slots_[slot];
   if (!s.armed || s.gen != gen) return;  // already fired/cancelled, or reused
-  const std::uint16_t loc = s.loc;
   release_slot(slot);
-  // The heap or a wheel bucket still holds this event's entry; it is now
-  // stale and will be dropped lazily when popped or cascaded — unless stale
-  // entries start to dominate, in which case we compact in place so
-  // disarmed timers cannot grow either structure forever. (Eager swap-remove
-  // from the wheel bucket was tried and measured slower: the lazy path
-  // touches one hot counter where removal touches the bucket's entry array.)
-  if (loc == kLocHeap) {
-    if (++stale_ >= 64 && stale_ > heap_.size() / 2) compact();
-  } else if (loc == kLocReady) {
-    ++ready_stale_;  // the batch drains within its tick; dropped at pop
-  } else {
-    if (++wheel_stale_ >= 64 && wheel_stale_ * 2 > wheel_size_) sweep_wheel();
-  }
+  // The heap still holds this event's entry; it is now stale and will be
+  // dropped lazily when popped — unless stale entries start to dominate, in
+  // which case we compact in place so disarmed timers cannot grow the heap
+  // forever.
+  if (++stale_ >= 64 && stale_ > heap_.size() / 2) compact();
 }
 
 void Scheduler::compact() {
-  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
+  [[maybe_unused]] const std::size_t removed =
+      std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
+  assert(removed == stale_ && "stale_ disagrees with the heap's cancelled entries");
   std::make_heap(heap_.begin(), heap_.end(), later);
   stale_ = 0;
 }
 
-void Scheduler::sweep_wheel() {
-  for (int l = 0; l < kLevels; ++l) {
-    std::uint64_t occ = occupied_[l];
-    while (occ != 0) {
-      const int b = std::countr_zero(occ);
-      occ &= occ - 1;
-      auto& bucket = wheel_[l][b];
-      wheel_size_ -= std::erase_if(bucket, [this](const Entry& e) { return !is_live(e); });
-      if (bucket.empty()) occupied_[l] &= ~(1ull << b);
-    }
-  }
-  wheel_stale_ = 0;
-}
-
-std::uint64_t Scheduler::next_wheel_tick(std::uint64_t limit) const {
-  // The scan result is memoized in wheel_next_ (see the member comment):
-  // hot callers — pop_next and the batch drain's bound recompute — hit the
-  // cache, and only a processed tick or a cursor jump past the cached value
-  // forces a rescan.
-  if (wheel_next_valid_ && wheel_next_ >= wheel_tick_) return std::min(limit, wheel_next_);
-  std::uint64_t best = UINT64_MAX;
-  // Level 0 buckets spill at their own tick.
-  if (occupied_[0] != 0) {
-    const unsigned cur = static_cast<unsigned>(wheel_tick_ & kSlotMask);
-    const std::uint64_t rot = std::rotr(occupied_[0], static_cast<int>(cur));
-    best = std::min(best, wheel_tick_ + static_cast<std::uint64_t>(std::countr_zero(rot)));
-  }
-  // Level l>=1 buckets cascade when the cursor enters their block (a
-  // multiple of 64^l). Distance 0 is ambiguous: with the cursor exactly at
-  // the block start the entering cascade is still pending (the bucket holds
-  // current-wrap entries), while a cursor strictly inside the block has
-  // already cascaded it — anything left there is a full wrap away.
-  for (int l = 1; l < kLevels; ++l) {
-    if (occupied_[l] == 0) continue;
-    const int shift = kSlotBits * l;
-    const std::uint64_t block = wheel_tick_ >> shift;
-    const unsigned cur = static_cast<unsigned>(block & kSlotMask);
-    const std::uint64_t rot = std::rotr(occupied_[l], static_cast<int>(cur));
-    std::uint64_t d = static_cast<std::uint64_t>(std::countr_zero(rot));
-    if (d == 0 && wheel_tick_ != (block << shift)) d = kSlotsPerLevel;
-    best = std::min(best, (block + d) << shift);
-  }
-  wheel_next_ = best;
-  wheel_next_valid_ = true;
-  return std::min(limit, best);
-}
-
-void Scheduler::cascade(int level, std::uint64_t bucket) {
-  auto& b = wheel_[level][bucket];
-  occupied_[level] &= ~(1ull << bucket);
-  if (b.empty()) return;
-  wheel_size_ -= b.size();
-  cascade_scratch_.clear();
-  cascade_scratch_.swap(b);  // entries may re-place into this same bucket
-  for (const Entry& e : cascade_scratch_) {
-    if (!is_live(e)) {
-      --wheel_stale_;
-      continue;
-    }
-    place(e);
-  }
-}
-
-void Scheduler::process_tick(std::uint64_t t) {
-  // This tick's work is being consumed; the memoized next-work tick must be
-  // rediscovered by the next scan (cascades re-place into an invalid hint,
-  // which place() deliberately leaves untouched).
-  wheel_next_valid_ = false;
-  // Entering a new block at any level cascades that level's bucket first
-  // (highest level first so entries can fall several levels in one tick).
-  for (int l = kLevels - 1; l >= 1; --l) {
-    const int shift = kSlotBits * l;
-    if ((t & ((1ull << shift) - 1)) == 0) cascade(l, (t >> shift) & kSlotMask);
-  }
-  // Spill the level-0 bucket due at this tick into the ready batch: sort it
-  // once by (time, seq) and consume from the front in O(1), instead of
-  // paying a heap push *and* pop per entry. Batches append in tick order and
-  // each batch's times lie within its tick, so the whole batch stays
-  // globally sorted; events scheduled after the spill land in the heap and
-  // pop_next() merges the two fronts by the same (time, seq) key — the
-  // firing order (and the FIFO tie-break) is exactly the heap-only order.
-  auto& b = wheel_[0][t & kSlotMask];
-  occupied_[0] &= ~(1ull << (t & kSlotMask));
-  if (b.empty()) return;
-  wheel_size_ -= b.size();
-  const auto batch_start = static_cast<std::ptrdiff_t>(ready_.size());
-  for (const Entry& e : b) {
-    if (!is_live(e)) {
-      --wheel_stale_;
-      continue;
-    }
-    if (e.slot != kNoSlot) slots_[e.slot].loc = kLocReady;
-    ready_.push_back(e);
-  }
-  b.clear();
-  std::sort(ready_.begin() + batch_start, ready_.end(), earlier);
-}
-
-void Scheduler::catch_up_wheel(std::uint64_t target) {
-  while (wheel_tick_ < target) {
-    if (wheel_size_ == 0) {
-      wheel_tick_ = target;
-      return;
-    }
-    const std::uint64_t next = next_wheel_tick(target);
-    if (next >= target) {
-      wheel_tick_ = target;
-      return;
-    }
-    wheel_tick_ = next;  // placements during process_tick see the new cursor
-    process_tick(next);
-    wheel_tick_ = next + 1;
-  }
-}
-
 bool Scheduler::pop_next(Entry& out, std::uint32_t& batch, Time limit) {
-  for (;;) {
-    // Drop stale (cancelled) entries at either front without executing.
-    while (!heap_.empty() && !is_live(heap_.front())) {
-      pop_front();
-      --stale_;
-    }
-    while (ready_pos_ < ready_.size() && !is_live(ready_[ready_pos_])) {
-      ++ready_pos_;
-      --ready_stale_;
-    }
-    if (ready_pos_ != 0 && ready_pos_ == ready_.size()) {
-      ready_.clear();  // keeps capacity for the next spill
-      ready_pos_ = 0;
-    }
-    // Anything in the wheel due before the earliest known event (or the
-    // limit) must spill first, or we would fire out of order.
-    if (wheel_size_ > 0) {
-      Time horizon = limit;
-      if (!heap_.empty() && heap_.front().at < horizon) horizon = heap_.front().at;
-      if (ready_pos_ < ready_.size() && ready_[ready_pos_].at < horizon) {
-        horizon = ready_[ready_pos_].at;
-      }
-      if (batch_min_ != kNoBatch) {
-        const DeliveryBatch& q = batches_[batch_min_];
-        if (q.at[q.head] < horizon) horizon = q.at[q.head];
-      }
-      std::uint64_t target = tick_of(horizon) + 1;
-      if (target > wheel_tick_) {
-        // A bare limit (nothing queued near-term) can lie far past the next
-        // wheel event; stepping the cursor straight there would strand it in
-        // the future and divert every later timer to the heap. Stop just
-        // past the first tick where the wheel actually does work, then
-        // re-evaluate with the fresh fronts.
-        target = std::min(target, next_wheel_tick(target) + 1);
-        if (target > wheel_tick_) {
-          catch_up_wheel(target);
-          continue;  // spilled entries may now be the earliest
-        }
-      }
-    }
-    const bool have_ready = ready_pos_ < ready_.size();
-    const bool have_heap = !heap_.empty();
-    const bool take_ready =
-        have_ready && (!have_heap || earlier(ready_[ready_pos_], heap_.front()));
-    const Entry* front =
-        have_ready || have_heap ? (take_ready ? &ready_[ready_pos_] : &heap_.front()) : nullptr;
-    // Merge the batch minimum's front in by the same (time, seq) key. When it
-    // wins, report the batch — the queue itself is consumed by
-    // dispatch_batch(), nothing is popped here.
-    if (batch_min_ != kNoBatch) {
-      const DeliveryBatch& q = batches_[batch_min_];
-      const Time qa = q.at[q.head];
-      const std::uint64_t qs = q.seq[q.head];
-      if (front == nullptr || qa < front->at || (qa == front->at && qs < front->seq)) {
-        if (qa > limit) return false;
-        batch = batch_min_;
-        return true;
-      }
-    }
-    if (front == nullptr || front->at > limit) return false;
-    out = *front;
-    batch = kNoBatch;
-    if (take_ready) {
-      ++ready_pos_;
-    } else {
-      pop_front();
-    }
-    return true;
+  // Drop stale (cancelled) entries at the front without executing.
+  while (!heap_.empty() && !is_live(heap_.front())) {
+    pop_front();
+    --stale_;
   }
+  const Entry* front = heap_.empty() ? nullptr : &heap_.front();
+  // Merge the batch minimum's front in by the same (time, seq) key. When it
+  // wins, report the batch — the queue itself is consumed by
+  // dispatch_batch(), nothing is popped here.
+  if (batch_min_ != kNoBatch) {
+    const DeliveryBatch& q = batches_[batch_min_];
+    const Time qa = q.at[q.head];
+    const std::uint64_t qs = q.seq[q.head];
+    if (front == nullptr || qa < front->at || (qa == front->at && qs < front->seq)) {
+      if (qa > limit) return false;
+      batch = batch_min_;
+      return true;
+    }
+  }
+  if (front == nullptr || front->at > limit) return false;
+  out = *front;
+  batch = kNoBatch;
+  pop_front();
+  return true;
 }
 
 void Scheduler::pop_front() {
@@ -431,12 +221,12 @@ void Scheduler::fire(const Entry& e) {
 }
 
 void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
-  // Which structure owns the current bound. Only a heap-owned bound can be
-  // fused (fired inline below); the others hand control back to pop_next.
-  enum class Src : std::uint8_t { kLimit, kHeap, kReady, kWheel, kBatch };
+  // Whether the heap front owns the current bound. Only a heap-owned bound
+  // can be fused (fired inline below); the limit or another batch's front
+  // hands control back to pop_next.
   Time bt = limit;
   std::uint64_t bs = 0;
-  Src src = Src::kLimit;
+  bool heap_bound = false;
   std::uint64_t bound_mark = 0;
   bool have_bound = false;
   for (;;) {
@@ -461,41 +251,13 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
     if (!have_bound || next_seq_ != bound_mark) {
       bt = limit;
       bs = UINT64_MAX;
-      src = Src::kLimit;
+      heap_bound = false;
       if (!heap_.empty()) {
         const Entry& e = heap_.front();
         if (e.at < bt || (e.at == bt && e.seq < bs)) {
           bt = e.at;
           bs = e.seq;
-          src = Src::kHeap;
-        }
-      }
-      if (ready_pos_ < ready_.size()) {
-        const Entry& e = ready_[ready_pos_];
-        if (e.at < bt || (e.at == bt && e.seq < bs)) {
-          bt = e.at;
-          bs = e.seq;
-          src = Src::kReady;
-        }
-      }
-      // Nothing in the wheel can fire before the cursor's tick — when that
-      // is already past the bound's tick (the common case: pop_next caught
-      // the wheel up through the batch front's tick before dispatching us),
-      // the whole scan is skipped. Otherwise bound at the next tick the
-      // wheel does work (seq 0 — conservative) and let pop_next spill it.
-      if (wheel_size_ > 0 && wheel_tick_ <= tick_of(bt)) {
-        const std::uint64_t lim_tick = tick_of(bt) + 1;
-        const std::uint64_t wt = next_wheel_tick(lim_tick);
-        if (wt < lim_tick) {
-          const Time wtime = Time::ns(static_cast<std::int64_t>(wt << kTickBits));
-          if (wtime < bt) {
-            bt = wtime;
-            bs = 0;
-            src = Src::kWheel;
-          } else if (wtime == bt) {
-            bs = 0;
-            src = Src::kWheel;
-          }
+          heap_bound = true;
         }
       }
       batch_scan_visits_ += active_.size();
@@ -507,7 +269,7 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
         if (oa < bt || (oa == bt && ob.seq[ob.head] < bs)) {
           bt = oa;
           bs = ob.seq[ob.head];
-          src = Src::kBatch;
+          heap_bound = false;
         }
       }
       bound_mark = next_seq_;
@@ -519,9 +281,9 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
       // The next event is not ours. When it is the live heap front — in a
       // busy sim deliveries and timers interleave tightly — fire it inline
       // and keep draining: bouncing through pop_next costs more than the
-      // event itself. Ready/wheel/other-batch fronts are rarer; hand those
-      // back to pop_next's full merge.
-      if (src != Src::kHeap || heap_.empty()) break;
+      // event itself. Another batch's front is rarer; hand it back to
+      // pop_next's merge.
+      if (!heap_bound || heap_.empty()) break;
       const Entry e = heap_.front();
       if (e.at != bt || e.seq != bs) {
         have_bound = false;  // front changed under us (e.g. a compact)
@@ -545,7 +307,6 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
     while (end < q.at.size() && q.at[end] == t && (t < bt || q.seq[end] < bs)) ++end;
     const std::size_t run = end - begin;
     now_ = t;
-    if (wheel_size_ == 0 && tick_of(t) > wheel_tick_) wheel_tick_ = tick_of(t);
     executed_ += run;
     live_ -= run;
     batch_live_ -= run;

@@ -12,30 +12,22 @@
 //    never aliases a newer event; fire-and-forget events (schedule_fire_*,
 //    schedule_member_fire_*) skip the slab entirely (slot == kNoSlot).
 //
-//  * A hierarchical timer wheel (4 levels x 64 slots, ~1 ms ticks) sits in
-//    front of the binary heap and absorbs the cancellation-heavy timers:
-//    an RTO that is re-armed on every ACK is pushed into a bucket in O(1)
-//    and, once cancelled, is dropped in place — it never touches the heap.
-//    Entries the cursor reaches spill, sorted, into a ready batch *before*
-//    their due time, and pop_next() merges that batch against the heap by
-//    (time, seq), so the FIFO tie-break — and with it bit-identical
-//    experiment output — is exactly that of a heap-only queue.
+//  * One binary heap holds every timer, cancellable or fire-and-forget.
 //
 //  * Per-sink delivery batches. A component whose arrivals are
 //    time-monotonic — a Link's propagation pipe, a DelayLine — registers a
 //    batch and appends its in-flight packets to a struct-of-arrays queue
 //    (parallel arrival-time / seq / arena-handle vectors) instead of pushing
-//    one scheduler entry per packet. The queue *is* a sorted run, so
-//    pop_next() merges its front against the heap/ready/wheel fronts and,
-//    when the batch is globally earliest, dispatch_batch() drains every
-//    delivery up to the next non-batch event — same-time runs go to the
-//    sink as a single deliver_batch() call. Every delivery keeps its unique
+//    one heap entry per packet. The queue *is* a sorted run, so pop_next()
+//    merges its front against the heap front by (time, seq) and, when the
+//    batch is globally earliest, dispatch_batch() drains every delivery up
+//    to the next non-batch event — same-time runs go to the sink as a
+//    single deliver_batch() call. Every delivery keeps its unique
 //    (time, seq) key, so the firing order is the one-entry-per-packet order.
 //
-// Cancelled events are lazily dropped when popped or cascaded; if too many
-// accumulate (long-lived retransmission timers that ACKs keep disarming),
-// the heap — or the wheel — is compacted in place so neither grows
-// unboundedly.
+// Cancelled events are lazily dropped when popped; if too many accumulate
+// (long-lived retransmission timers that ACKs keep disarming), the heap is
+// compacted in place so it cannot grow unboundedly.
 #pragma once
 
 #include <cstdint>
@@ -133,11 +125,10 @@ class Scheduler {
 
   /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
   /// batch `id`'s sink a reference to that copy at time `at`. The in-flight
-  /// record lives in the batch's parallel arrays, not in a heap/wheel
-  /// entry. Preconditions: at >= now(), and appends to one batch are
-  /// time-monotonic (at >= the batch's last queued arrival) — true for any
-  /// fixed-delay pipe fed by a monotonic clock, which is what Link and
-  /// DelayLine are.
+  /// record lives in the batch's parallel arrays, not in a heap entry.
+  /// Preconditions: at >= now(), and appends to one batch are time-monotonic
+  /// (at >= the batch's last queued arrival) — true for any fixed-delay pipe
+  /// fed by a monotonic clock, which is what Link and DelayLine are.
   void schedule_deliver_batch_at(Time at, BatchId id, const Packet& pkt) {
     schedule_deliver_batch_handle_at(at, id, pool_.acquire(pkt));
   }
@@ -178,16 +169,9 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   /// Number of live (non-cancelled) pending events.
   [[nodiscard]] std::size_t pending() const { return live_; }
-  /// Heap records including not-yet-collected cancelled ones and the
-  /// unconsumed part of the spilled ready batch (tests use this to verify
-  /// compaction keeps near-term storage bounded under cancel churn).
-  [[nodiscard]] std::size_t heap_entries() const {
-    return heap_.size() + (ready_.size() - ready_pos_);
-  }
-  /// Wheel-resident records, including not-yet-swept cancelled ones (tests
-  /// use this to verify cancel churn stays bounded without touching the
-  /// heap).
-  [[nodiscard]] std::size_t wheel_entries() const { return wheel_size_; }
+  /// Heap records including not-yet-collected cancelled ones (tests use
+  /// this to verify compaction keeps storage bounded under cancel churn).
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
   /// Sentinel slot for fire-and-forget entries that carry no cancellation
@@ -197,18 +181,13 @@ class Scheduler {
   /// A slab slot holding one cancellable event's identity. `gen` counts how
   /// many times the slot has been released; an EventId or queue entry
   /// carrying an older generation is stale. (Wrap after 2^32 releases of a
-  /// single slot is beyond any simulation we run.) `loc` remembers where the
-  /// entry currently sits — kLocHeap, kLocReady, or (level << 8 | bucket) —
-  /// so cancel() knows which structure accumulated the stale record.
+  /// single slot is beyond any simulation we run.)
   struct Slot {
     std::uint32_t gen{1};
-    std::uint16_t loc{kLocHeap};
     bool armed{false};
   };
-  static constexpr std::uint16_t kLocHeap = 0xffff;
-  static constexpr std::uint16_t kLocReady = 0xfffe;
 
-  /// A stored event: heap, wheel-bucket and ready-batch record alike.
+  /// A heap record: one scheduled event.
   struct Entry {
     Time at;
     std::uint64_t seq;   // global schedule order: FIFO tie-break at equal times
@@ -229,36 +208,6 @@ class Scheduler {
     }
   };
   static constexpr Later later{};
-  // Ascending (time, seq): the ready batch's sort order and the merge order
-  // between the batch front and the heap front. seq is unique, so this is a
-  // strict total order identical to the firing order.
-  struct Earlier {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-  static constexpr Earlier earlier{};
-
-  // ---- timer wheel geometry ----
-  // Ticks are 2^20 ns (~1.05 ms): RTTs, RTOs and pacing gaps all span many
-  // ticks, while same-tick events (sub-ms chains) go straight to the heap.
-  // 4 levels x 64 slots cover [2, 64^4) ticks ≈ 4.9 simulated hours; longer
-  // timers overflow to the heap.
-  static constexpr int kTickBits = 20;
-  static constexpr int kSlotBits = 6;
-  static constexpr int kLevels = 4;
-  static constexpr std::uint64_t kSlotsPerLevel = 1ull << kSlotBits;
-  static constexpr std::uint64_t kSlotMask = kSlotsPerLevel - 1;
-  static constexpr std::uint64_t kMinWheelTicks = 2;  // below: heap (due "now")
-  static constexpr std::uint64_t kMaxWheelTicks = 1ull << (kSlotBits * kLevels);
-
-  [[nodiscard]] static std::uint64_t tick_of(Time t) {
-    return static_cast<std::uint64_t>(t.count_ns()) >> kTickBits;
-  }
-  [[nodiscard]] static std::uint16_t wheel_loc(int level, std::uint64_t bucket) {
-    return static_cast<std::uint16_t>((static_cast<unsigned>(level) << 8) | bucket);
-  }
 
   [[nodiscard]] static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -275,32 +224,19 @@ class Scheduler {
   /// ids/entries cannot alias it.
   void release_slot(std::uint32_t slot);
 
-  /// Routes an entry to the wheel (cancellable, far enough out) or the heap.
-  void place(const Entry& e);
-  /// Pushes an entry onto the heap and records its location.
+  /// Pushes an entry onto the heap.
   void push_heap_entry(const Entry& e);
-  /// Ensures every wheel entry with tick < target has been spilled into the
-  /// heap, advancing the cursor to target.
-  void catch_up_wheel(std::uint64_t target);
-  /// Smallest tick >= the cursor at which a bucket must spill or cascade;
-  /// `limit` if none below it. Precondition: wheel_size_ > 0.
-  [[nodiscard]] std::uint64_t next_wheel_tick(std::uint64_t limit) const;
-  /// Spills/cascades every bucket due exactly at tick t (cursor == t).
-  void process_tick(std::uint64_t t);
-  /// Re-places a level>=1 bucket's entries one level down (or into the heap).
-  void cascade(int level, std::uint64_t bucket);
-  /// Drops cancelled entries from every bucket (wheel analogue of compact()).
-  void sweep_wheel();
 
-  /// Finds the globally-earliest live event — ready batch, heap, wheel and
-  /// delivery-batch fronts all considered. Returns false if there is none at
-  /// or before `limit`. When a stored entry wins it is popped into `out` and
-  /// `batch` is kNoBatch; when a delivery batch's front wins nothing is
-  /// popped and `batch` names it, for dispatch_batch() to drain.
+  /// Finds the globally-earliest live event — heap and delivery-batch
+  /// fronts both considered. Returns false if there is none at or before
+  /// `limit`. When a heap entry wins it is popped into `out` and `batch` is
+  /// kNoBatch; when a delivery batch's front wins nothing is popped and
+  /// `batch` names it, for dispatch_batch() to drain.
   bool pop_next(Entry& out, std::uint32_t& batch, Time limit);
   /// Pops the front heap entry (the earliest).
   void pop_front();
-  /// Rebuilds the heap without stale (cancelled) entries.
+  /// Rebuilds the heap without stale (cancelled) entries. Debug builds
+  /// check that exactly stale_ entries were removed.
   void compact();
   /// Executes one popped entry: advances the clock, releases its slot and
   /// calls it.
@@ -341,39 +277,11 @@ class Scheduler {
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   std::size_t live_{0};   // armed slots + pending fire-and-forget entries
-  std::size_t stale_{0};  // cancelled entries still sitting in the heap
+  std::size_t stale_{0};  // cancelled entries still sitting in the heap (exact)
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   PacketPool pool_;
-
-  // Wheel state. wheel_tick_ is the cursor: every bucket entry has
-  // tick(at) >= wheel_tick_, and all spills/cascades for earlier ticks have
-  // happened. occupied_[l] is a bitmask of non-empty buckets at level l.
-  std::uint64_t wheel_tick_{0};
-  std::size_t wheel_size_{0};
-  std::size_t wheel_stale_{0};  // cancelled entries still sitting in buckets
-  std::uint64_t occupied_[kLevels]{};
-  std::vector<Entry> wheel_[kLevels][kSlotsPerLevel];
-  std::vector<Entry> cascade_scratch_;
-  // Memoized next_wheel_tick(∞): the earliest tick at which the wheel does
-  // any work (level-0 spill or cascade). pop_next and the batch drain's
-  // bound recompute consult the wheel once per event, so the occupied-bitmap
-  // scan is cached here — inserts tighten it (min), processing a tick
-  // invalidates it. Removals may leave it conservatively early, which costs
-  // at most one empty process_tick step and is never wrong.
-  mutable std::uint64_t wheel_next_{0};
-  mutable bool wheel_next_valid_{false};
-
-  // The ready batch: a spilled level-0 bucket, sorted ascending by
-  // (time, seq) and consumed from the front in O(1) — the calendar-queue
-  // move that keeps a 10k-packet in-flight window out of the binary heap.
-  // Entries scheduled after the spill (same-tick arrivals) land in the heap
-  // and are merged in by comparing actual (time, seq) keys, so the firing
-  // order is exactly the heap-only order.
-  std::vector<Entry> ready_;
-  std::size_t ready_pos_{0};
-  std::size_t ready_stale_{0};  // cancelled entries still in the batch
 
   // Delivery batches. batch_live_ counts queued batch deliveries (they are
   // part of live_ too); batch_min_ caches which batch currently owns the

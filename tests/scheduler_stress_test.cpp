@@ -1,13 +1,13 @@
-// Stress and golden-order tests for the event engine (typed events, timer
-// wheel, ready batch, per-sink delivery batches, packet arena).
+// Stress and golden-order tests for the event engine (typed events, the
+// timer heap, per-sink delivery batches, packet arena).
 //
 // The engine's contract is exactly a plain heap scheduler's contract:
-// events fire in ascending (time, schedule-order) regardless of which
-// internal structure (heap, wheel bucket, ready batch, delivery batch) they
-// pass through. The golden tests below check large adversarial workloads
-// against an independent reference model of that contract — NOT against
-// the engine's own bookkeeping — so any internal reordering (a bucket
-// spilled late, a cascade dropped, a tie broken by address) fails loudly.
+// events fire in ascending (time, schedule-order) whether they pass through
+// the heap or a delivery batch. The golden tests below check large
+// adversarial workloads against an independent reference model of that
+// contract — NOT against the engine's own bookkeeping — so any internal
+// reordering (a batch drained past a timer, a stale entry fired, a tie
+// broken by address) fails loudly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,7 +134,7 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
 }
 
 /// Golden firing order: an adversarial workload — every event form, delays
-/// straddling all wheel levels plus sub-tick and same-tick times, equal-time
+/// from microseconds to minutes plus same-time ties, equal-time
 /// ties, and a third of the cancellable timers cancelled mid-run — must fire
 /// in exactly the (time, schedule-order) sequence of an independent model.
 TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
@@ -142,8 +142,8 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
   Mix rng{0x5eedull};
   std::vector<Planned> plan(kEvents);
   for (Planned& p : plan) {
-    // Delays spanning: same-time ties (0), sub-tick (us), one-tick (ms),
-    // level-0 (tens of ms), level-1 (hundreds of ms .. s), level-2 (minutes).
+    // Delays spanning: same-time ties (0), microseconds, a few ms, tens of
+    // ms, hundreds of ms .. s, and minutes.
     switch (rng.below(6)) {
       case 0: p.at = Time::zero(); break;
       case 1: p.at = Time::us(static_cast<std::int64_t>(rng.below(1000))); break;
@@ -191,9 +191,9 @@ TEST(SchedulerStress, IdenticalWorkloadIsBitIdentical) {
   EXPECT_EQ(run(), run());
 }
 
-/// 1M schedule/cancel cycles of the RTO pattern. Bounded structures: lazy
-/// deletion must not let cancelled records accumulate in either the heap or
-/// the wheel beyond the sweep thresholds.
+/// 1M schedule/cancel cycles of the RTO pattern. Bounded storage: lazy
+/// deletion must not let cancelled records accumulate in the heap beyond
+/// the compaction threshold.
 TEST(SchedulerStress, MillionCancelCyclesStayBounded) {
   constexpr int kCycles = 1'000'000;
   Scheduler sched;
@@ -203,13 +203,13 @@ TEST(SchedulerStress, MillionCancelCyclesStayBounded) {
     sched.cancel(rto);
     rto = sched.schedule_call_after(Time::ms(200), [](void*, std::uint64_t) {}, nullptr);
     if ((i & 1023) == 0) {
-      max_footprint = std::max(max_footprint, sched.heap_entries() + sched.wheel_entries());
+      max_footprint = std::max(max_footprint, sched.heap_entries());
     }
   }
-  // One live timer; everything else is cancelled debris awaiting sweep. The
-  // sweeps fire when stale records outnumber live ones (with a small floor),
-  // so the all-time footprint stays a small constant, not O(cycles).
-  max_footprint = std::max(max_footprint, sched.heap_entries() + sched.wheel_entries());
+  // One live timer; everything else is cancelled debris awaiting compaction.
+  // Compaction runs when stale records outnumber live ones (with a small
+  // floor), so the all-time footprint stays a small constant, not O(cycles).
+  max_footprint = std::max(max_footprint, sched.heap_entries());
   EXPECT_LT(max_footprint, 4096u);
   EXPECT_EQ(sched.pending(), 1u);
 
@@ -217,11 +217,10 @@ TEST(SchedulerStress, MillionCancelCyclesStayBounded) {
   sched.run_until(Time::sec(1));
   EXPECT_EQ(sched.pending(), 0u);
   EXPECT_EQ(sched.heap_entries(), 0u);
-  EXPECT_EQ(sched.wheel_entries(), 0u);
 }
 
-/// Timers seeded across every wheel level (minutes out) fire at their exact
-/// due times after cascading down through the levels.
+/// Timers seeded from milliseconds to an hour out fire at their exact due
+/// times.
 TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
   Scheduler sched;
   std::vector<std::pair<int, Time>> fired;
@@ -231,9 +230,8 @@ TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
     int label;
     Time expect;
   };
-  // Spans: level 0 (< ~67ms), level 1 (< ~4.3s), level 2 (< ~4.6min),
-  // level 3 (hours), plus the exact level-0 and level-1 rollover boundaries
-  // (64 ticks = 2^26 ns, 64^2 ticks = 2^32 ns with 2^20 ns ticks).
+  // Spans: milliseconds, seconds, minutes and an hour, plus two exact
+  // power-of-two delays (2^26 ns and 2^32 ns).
   const Time delays[] = {Time::ms(2),   Time::ms(65),  Time::ms(300), Time::sec(1),
                          Time::sec(4),  Time::sec(30), Time::sec(270), Time::sec(3600),
                          Time::ns(67'108'864), Time::ns(4'294'967'296)};
