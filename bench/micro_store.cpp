@@ -6,9 +6,13 @@
 // columnar scan (open + touch every flow's scalars and series), the number
 // that gates "fig2 at millions of flows" being interactive:
 //   {"bench": "store_scan", "flows": ..., "wall_sec": ..., "flows_per_sec": ...}
+// plus the streaming-write rate (store_write) and the CRC-32 rate every
+// store and journal byte pays (store_crc, bytes_per_sec).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -20,6 +24,7 @@
 #include "pipeline/pipeline.hpp"
 #include "store/convert.hpp"
 #include "store/flow_store.hpp"
+#include "store/format.hpp"
 #include "telemetry/run_report.hpp"
 
 namespace {
@@ -206,6 +211,42 @@ void report_write_rate(std::size_t repeat, std::ostream& os, telemetry::RunRepor
   fs::remove(path, ec);
 }
 
+/// CRC-32 throughput of store::Crc32::update, the one implementation the
+/// writer, both reader paths and the sweep journal share. The buffer is the
+/// size of a passive_ingest round's store (~27 MB), hashed in the writer's
+/// 64 KiB pieces so the number is the per-byte cost those paths pay.
+void report_crc_rate(std::size_t repeat, std::ostream& os, telemetry::RunReport& report) {
+  constexpr std::size_t kBytes = std::size_t{27} << 20;
+  constexpr std::size_t kPiece = std::size_t{64} << 10;
+  std::vector<std::uint8_t> buf(kBytes);  // table CRCs cost the same for any data
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    buf[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  double wall = 0.0;
+  std::uint32_t sink = 0;
+  for (std::size_t r = 0; r < repeat; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    store::Crc32 crc;
+    for (std::size_t off = 0; off < kBytes; off += kPiece) {
+      crc.update(buf.data() + off, std::min(kPiece, kBytes - off));
+    }
+    const std::chrono::duration<double> w = std::chrono::steady_clock::now() - t0;
+    sink ^= crc.value();
+    wall = r == 0 ? w.count() : std::min(wall, w.count());
+  }
+  benchmark::DoNotOptimize(sink);
+  const double bps = static_cast<double>(kBytes) / wall;
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "{\"bench\": \"store_crc\", \"bytes\": %zu, \"wall_sec\": %.4f, "
+                "\"bytes_per_sec\": %.0f}\n",
+                kBytes, wall, bps);
+  os << line;
+  report.add_scalar("store_crc", "bytes", static_cast<double>(kBytes));
+  report.add_scalar("store_crc", "wall_sec", wall);
+  report.add_scalar("store_crc", "bytes_per_sec", bps);
+}
+
 }  // namespace
 
 /// The bench body; main() below routes uncaught errors through the shared
@@ -231,6 +272,7 @@ int run_bench(int argc, char** argv) {
   report_scan_rate("store_scan", /*readahead_flows=*/0, repeat, os, report);
   report_scan_rate("store_scan_pread", readahead, repeat, os, report);
   report_write_rate(repeat, os, report);
+  report_crc_rate(repeat, os, report);
   if (!report.emit(cli.report)) {
     std::cerr << "micro_store: cannot write --report file '" << cli.report << "'\n";
     return 2;

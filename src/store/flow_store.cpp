@@ -22,20 +22,27 @@ namespace ccc::store {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+// Slicing-by-16: table 0 is the classic byte-at-a-time table; table k maps a
+// byte to its CRC contribution when k zero bytes follow it, so sixteen
+// independent lookups fold one 16-byte block into the state.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = make_crc_table();
-  return table;
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::atomic<std::uint64_t> g_finish_errors_suppressed{0};
 
@@ -43,9 +50,22 @@ std::atomic<std::uint64_t> g_finish_errors_suppressed{0};
 
 void Crc32::update(const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto& table = crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = state_;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 16; p += 16, len -= 16) {
+    // memcpy, not a cast: the input has no alignment guarantee. The word
+    // order relies on the little-endian host format.hpp asserts.
+    std::uint32_t w[4];
+    std::memcpy(w, p, sizeof w);
+    w[0] ^= c;
+    c = t[15][w[0] & 0xFFu] ^ t[14][(w[0] >> 8) & 0xFFu] ^ t[13][(w[0] >> 16) & 0xFFu] ^
+        t[12][w[0] >> 24] ^ t[11][w[1] & 0xFFu] ^ t[10][(w[1] >> 8) & 0xFFu] ^
+        t[9][(w[1] >> 16) & 0xFFu] ^ t[8][w[1] >> 24] ^ t[7][w[2] & 0xFFu] ^
+        t[6][(w[2] >> 8) & 0xFFu] ^ t[5][(w[2] >> 16) & 0xFFu] ^ t[4][w[2] >> 24] ^
+        t[3][w[3] & 0xFFu] ^ t[2][(w[3] >> 8) & 0xFFu] ^ t[1][(w[3] >> 16) & 0xFFu] ^
+        t[0][w[3] >> 24];
+  }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   state_ = c;
 }
 
@@ -62,7 +82,9 @@ std::uint64_t finish_errors_suppressed() noexcept {
 // ---------------------------------------------------------------- writer
 
 FlowStoreWriter::FlowStoreWriter(std::string path)
-    : path_{std::move(path)}, file_{faultfs::File::open_trunc(path_)} {
+    : path_{std::move(path)},
+      file_{faultfs::File::open_trunc(path_)},
+      buf_{std::make_unique_for_overwrite<std::uint8_t[]>(kWriteBufferBytes)} {
   Header hdr{};
   std::memcpy(hdr.magic, kHeaderMagic, sizeof hdr.magic);
   hdr.version = kFormatVersion;
@@ -94,9 +116,27 @@ FlowStoreWriter::~FlowStoreWriter() {
 }
 
 void FlowStoreWriter::write_crc(const void* data, std::size_t len) {
-  file_.write(data, len);
-  crc_.update(data, len);
+  // Flush first, so a failed write leaves this call's bytes untaken and the
+  // buffered ones still held: the caller sees the error, nothing is dropped.
+  if (len > kWriteBufferBytes - buf_len_) flush();
+  if (len >= kWriteBufferBytes) {
+    put(data, len);  // too large to coalesce: straight to the file
+  } else {
+    std::memcpy(buf_.get() + buf_len_, data, len);
+    buf_len_ += len;
+  }
   pos_ += len;
+}
+
+void FlowStoreWriter::flush() {
+  if (buf_len_ == 0) return;
+  put(buf_.get(), buf_len_);
+  buf_len_ = 0;
+}
+
+void FlowStoreWriter::put(const void* data, std::size_t len) {
+  file_.write(data, len);
+  crc_.update(data, len);  // only bytes the file accepted enter the CRC
 }
 
 void FlowStoreWriter::pad_to_alignment() {
@@ -107,7 +147,7 @@ void FlowStoreWriter::pad_to_alignment() {
 
 void FlowStoreWriter::append(const FlowView& flow) {
   if (finished_) throw Error::config(path_, "ccfs: append after finish");
-  // The series streams to disk immediately; only scalars are buffered.
+  // The series streams through the write buffer; the scalars wait for finish().
   if (!flow.throughput_mbps.empty()) {
     write_crc(flow.throughput_mbps.data(), flow.throughput_mbps.size_bytes());
   }
@@ -127,6 +167,7 @@ void FlowStoreWriter::append(const FlowView& flow) {
 void FlowStoreWriter::abandon() {
   if (finished_) return;
   finished_ = true;  // suppress the destructor's auto-finish: no footer
+  // The write buffer is dropped unwritten, as a killed process would drop it.
   try {
     file_.close_checked();
   } catch (...) {
@@ -138,6 +179,8 @@ void FlowStoreWriter::finish() {
   if (finished_) return;
   finished_ = true;
 
+  // The pool lands in writes of its own, before any section is buffered.
+  flush();
   std::vector<DirectoryEntry> directory;
   directory.reserve(kSectionCount);
   // The pool section was streamed at [sizeof(Header), here).
@@ -166,6 +209,7 @@ void FlowStoreWriter::finish() {
   const auto count = static_cast<std::uint32_t>(directory.size());
   write_crc(&count, sizeof count);
   write_crc(directory.data(), directory.size() * sizeof(DirectoryEntry));
+  flush();  // the CRC is complete only once the buffered tail has been written
 
   Footer footer{};
   footer.directory_offset = directory_offset;
@@ -509,10 +553,13 @@ void FlowStoreReader::open_windowed(faultfs::File file, const ReaderOptions& opt
 
   if (opts.verify_crc) {
     // Streaming CRC: same covered range as the mapped path, fixed memory.
+    // The chunk never exceeds the covered bytes, so a small shard allocates
+    // only what it reads.
     Crc32 crc;
-    std::vector<std::uint8_t> chunk(std::size_t{4} << 20);
     std::uint64_t off = sizeof(Header);
     const std::uint64_t end = dir_off + dir_bytes;
+    std::vector<std::uint8_t> chunk(
+        static_cast<std::size_t>(std::min<std::uint64_t>(std::uint64_t{4} << 20, end - off)));
     while (off < end) {
       const auto len = static_cast<std::size_t>(std::min<std::uint64_t>(chunk.size(), end - off));
       file.read_exact_at(off, chunk.data(), len);

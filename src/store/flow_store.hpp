@@ -1,11 +1,11 @@
 // FlowStoreWriter / FlowStoreReader — ingest and zero-copy scan of ccfs
 // files (see format.hpp for the layout and the rationale).
 //
-// Writer: append-only and streaming. Each append writes the record's
-// throughput series straight to disk and buffers only the fixed-width
-// scalar columns (~74 bytes/flow), so ingesting 10^7 flows needs tens of
-// megabytes of memory, not gigabytes. finish() lays down the columns,
-// directory, and CRC footer.
+// Writer: append-only and streaming. Each append streams the record's
+// throughput series to disk through a fixed 64 KiB write buffer and keeps
+// only the fixed-width scalar columns (~74 bytes/flow), so ingesting 10^7
+// flows needs tens of megabytes of memory, not gigabytes. finish() lays
+// down the columns, directory, and CRC footer.
 //
 // Reader: maps the file read-only and serves columns as spans into the
 // mapping — no per-flow allocation, no copy. A FlowView is a handful of
@@ -105,10 +105,11 @@ class FlowStoreWriter {
   void finish();
 
   /// Walks away from the file without sealing it: closes the fd, writes no
-  /// directory/footer, suppresses the destructor's auto-finish. What's on
-  /// disk is whatever the streamed appends already wrote — a torn shard a
-  /// reader must reject. This is the in-process stand-in for SIGKILL, used
-  /// by the crash-recovery tests; a daemon never calls it on purpose.
+  /// directory/footer, drops the unflushed write buffer, suppresses the
+  /// destructor's auto-finish. What's on disk is whatever buffer flushes
+  /// already wrote — a torn shard a reader must reject. This is the
+  /// in-process stand-in for SIGKILL, used by the crash-recovery tests; a
+  /// daemon never calls it on purpose.
   void abandon();
 
   /// Optional registry for the destructor's suppressed-error counter. The
@@ -120,7 +121,18 @@ class FlowStoreWriter {
   [[nodiscard]] std::uint64_t samples() const { return sample_count_; }
 
  private:
+  /// Everything after the header is coalesced through a buffer of this
+  /// size; an append costs a write syscall only when the buffer fills.
+  static constexpr std::size_t kWriteBufferBytes = std::size_t{64} << 10;
+
+  /// Appends CRC-covered bytes through the buffer (payloads of a whole
+  /// buffer or more go straight to the file after a flush).
   void write_crc(const void* data, std::size_t len);
+  /// Writes out the buffered bytes. finish() flushes before the first
+  /// section lands and again before the footer.
+  void flush();
+  /// One file write, then the CRC over exactly the bytes written.
+  void put(const void* data, std::size_t len);
   void pad_to_alignment();
 
   std::string path_;
@@ -128,10 +140,12 @@ class FlowStoreWriter {
   telemetry::MetricRegistry* metrics_{nullptr};
   bool finished_{false};
   Crc32 crc_;
-  std::uint64_t pos_{0};  // current file offset (mirror of tellp)
+  std::uint64_t pos_{0};  // logical file offset, buffered bytes included
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t buf_len_{0};
   std::uint64_t sample_count_{0};
 
-  // Buffered scalar columns (the series pool streams to disk directly).
+  // Scalar columns, held until finish() (the series pool streams through buf_).
   std::vector<std::uint64_t> ids_;
   std::vector<std::uint8_t> access_;
   std::vector<std::uint8_t> truth_;

@@ -97,8 +97,14 @@ struct Footer {
 };
 static_assert(sizeof(Footer) == 32);
 
-/// Incremental CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the same
-/// polynomial zlib uses, implemented here so the store has no deps.
+/// Incremental CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, initial
+/// and final XOR 0xFFFFFFFF) — the CRC zlib computes, implemented here so the
+/// store has no deps. update() is table-driven slicing-by-16: it folds 16
+/// bytes per step with 16 table lookups (unaligned input read via memcpy)
+/// and finishes the tail a byte at a time. It yields the same value as the
+/// classic byte-at-a-time loop for every input and every split of it across
+/// update() calls, so existing .ccfs files and .ccj journals still verify.
+/// The writer, both reader paths and the sweep journal all share it.
 class Crc32 {
  public:
   void update(const void* data, std::size_t len);

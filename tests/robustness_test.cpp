@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -381,6 +382,8 @@ TEST(FaultFs, FailedOpenIsAnIoError) {
 
 TEST(FaultFs, FailedWriteSurfacesAsIoFromTheWriter) {
   TempPath p{"robust_failwrite.ccfs"};
+  // Write 0 is the header; 8 flows fit the writer's buffer, so write 1 is
+  // finish()'s flush of the buffered series pool.
   PlanGuard plan{faultfs::FaultKind::kFailWrite, 1, fs::path(p.str()).filename().string()};
   try {
     store::FlowStoreWriter w{p.str()};
@@ -395,13 +398,21 @@ TEST(FaultFs, FailedWriteSurfacesAsIoFromTheWriter) {
 
 TEST(FaultFs, TornWriteIsRejectedAtOpen) {
   TempPath p{"robust_torn.ccfs"};
+  const auto dataset = make_dataset(64);
+  std::uint64_t pool_bytes = 0;
+  for (const auto& rec : dataset) pool_bytes += rec.throughput_mbps.size() * sizeof(double);
   {
     // Tear mid-pool: the writer "succeeds" (power-cut semantics — nothing
     // to report at write time), leaving a file the reader must reject.
-    PlanGuard plan{faultfs::FaultKind::kTornWrite, 5, fs::path(p.str()).filename().string()};
-    store::write_store(p.str(), make_dataset(64));
+    // Write 0 is the header; write 1 is the first flush of the buffered
+    // series pool.
+    PlanGuard plan{faultfs::FaultKind::kTornWrite, 1, fs::path(p.str()).filename().string()};
+    store::write_store(p.str(), dataset);
     EXPECT_GT(faultfs::faults_injected(), 0u);
   }
+  // The tear landed inside the pool: some series bytes, not all of them.
+  EXPECT_GT(fs::file_size(p.str()), sizeof(store::Header));
+  EXPECT_LT(fs::file_size(p.str()), sizeof(store::Header) + pool_bytes);
   try {
     store::FlowStoreReader r{p.str()};
     FAIL() << "reader accepted a torn file";
@@ -409,6 +420,44 @@ TEST(FaultFs, TornWriteIsRejectedAtOpen) {
     EXPECT_TRUE(e.category() == ErrorCategory::kCorruption ||
                 e.category() == ErrorCategory::kFormat)
         << to_string(e.category());
+  }
+}
+
+TEST(FaultFs, FailedBufferFlushSurfacesAsIoAndDropsNothing) {
+  TempPath p{"robust_failflush.ccfs"};
+  // Enough series bytes to fill the writer's 64 KiB buffer several times,
+  // so the failing write is a flush made inside append().
+  const auto dataset = make_dataset(400);
+  std::size_t failed_at = dataset.size();
+  {
+    store::FlowStoreWriter w{p.str()};
+    PlanGuard plan{faultfs::FaultKind::kFailWrite, 1, fs::path(p.str()).filename().string()};
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      try {
+        w.append(dataset[i]);
+      } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kIo);
+        failed_at = i;
+        break;
+      }
+    }
+    ASSERT_LT(failed_at, dataset.size()) << "the failed flush never surfaced from append()";
+    EXPECT_GT(faultfs::faults_injected(), 0u);
+    EXPECT_EQ(w.flows(), failed_at) << "the failed append must not count its flow";
+    // The buffered bytes survived the failure: retrying the rejected flow
+    // and finishing yields every flow, bit for bit.
+    for (std::size_t i = failed_at; i < dataset.size(); ++i) w.append(dataset[i]);
+    w.finish();
+  }
+  store::FlowStoreReader r{p.str()};
+  ASSERT_EQ(r.size(), dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const auto v = r.at(i);
+    ASSERT_EQ(v.id, dataset[i].id);
+    ASSERT_TRUE(std::equal(v.throughput_mbps.begin(), v.throughput_mbps.end(),
+                           dataset[i].throughput_mbps.begin(),
+                           dataset[i].throughput_mbps.end()))
+        << "flow " << i;
   }
 }
 
@@ -436,9 +485,12 @@ TEST(WriterDestructor, SuppressedFinishErrorIsCountedAndWarned) {
     store::FlowStoreWriter w{p.str()};
     w.set_metrics(&reg);
     for (const auto& rec : make_dataset(4)) w.append(rec);
-    faultfs::set_plan({faultfs::FaultKind::kFailWrite, 6,
+    // The plan counts from here: write 0 is finish()'s flush of the pool,
+    // write 1 its flush of the sections and directory.
+    faultfs::set_plan({faultfs::FaultKind::kFailWrite, 1,
                        fs::path(p.str()).filename().string()});
   }
+  EXPECT_GT(faultfs::faults_injected(), 0u);
   faultfs::clear_plan();
   EXPECT_EQ(store::finish_errors_suppressed(), before + 1);
   EXPECT_EQ(reg.counter("store.finish_errors_suppressed").value(), 1u);
@@ -450,9 +502,10 @@ TEST(WriterDestructor, ExplicitFinishSeesTheErrorInstead) {
   {
     store::FlowStoreWriter w{p.str()};
     for (const auto& rec : make_dataset(4)) w.append(rec);
-    PlanGuard plan{faultfs::FaultKind::kFailWrite, 6,
+    PlanGuard plan{faultfs::FaultKind::kFailWrite, 1,
                    fs::path(p.str()).filename().string()};
     EXPECT_THROW(w.finish(), Error);
+    EXPECT_GT(faultfs::faults_injected(), 0u);
   }
   // finish() already threw to the caller; the destructor retries (finish is
   // idempotent-on-failure from its start), fails again on the real fd state

@@ -2,14 +2,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "mlab/synthetic.hpp"
 #include "store/convert.hpp"
 #include "store/flow_store.hpp"
+#include "store/format.hpp"
 #include "util/error.hpp"
 
 namespace ccc::store {
@@ -44,6 +50,76 @@ std::vector<mlab::NdtRecord> make_dataset(std::size_t n, std::uint64_t seed = 42
   cfg.n_flows = n;
   Rng rng{seed};
   return mlab::generate_dataset(cfg, rng);
+}
+
+// ---------------------------------------------------------------- crc32
+//
+// Differential tests: the sliced production CRC against a bit-at-a-time
+// oracle that lives only here. Equal values are also what keeps every
+// existing .ccfs file and .ccj journal loadable.
+
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xFFFF'FFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 gen{seed};
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(gen());
+  return v;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, std::strlen(check)), 0xCBF4'3926u);
+  EXPECT_EQ(reference_crc32(reinterpret_cast<const std::uint8_t*>(check), 9), 0xCBF4'3926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, EveryLengthAtEveryAlignmentMatchesTheOracle) {
+  const auto bytes = random_bytes(300 + 8, 1);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = bytes.data() + align;
+      ASSERT_EQ(crc32(p, len), reference_crc32(p, len)) << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalUpdatesAtRandomSplitsMatchTheOracle) {
+  const auto bytes = random_bytes(5000, 2);
+  const std::uint32_t want = reference_crc32(bytes.data(), bytes.size());
+  std::mt19937_64 gen{3};
+  for (int trial = 0; trial < 200; ++trial) {
+    Crc32 crc;
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      // Mostly short pieces (the tail loop and odd word phases), some long.
+      const std::size_t cap = (gen() % 4 == 0) ? 1000 : 17;
+      const std::size_t len = std::min<std::size_t>(gen() % cap, bytes.size() - off);
+      crc.update(bytes.data() + off, len);
+      off += len;
+    }
+    ASSERT_EQ(crc.value(), want) << "trial " << trial;
+  }
+}
+
+TEST(Crc32, BufferLargerThanTheStreamingChunkMatchesTheOracle) {
+  // The windowed reader streams its CRC in 4 MiB chunks; one buffer past
+  // that size, hashed whole and in reader-sized pieces.
+  constexpr std::size_t kChunk = std::size_t{4} << 20;
+  const auto bytes = random_bytes(kChunk + 13, 4);
+  const std::uint32_t want = reference_crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), want);
+  Crc32 crc;
+  crc.update(bytes.data(), kChunk);
+  crc.update(bytes.data() + kChunk, bytes.size() - kChunk);
+  EXPECT_EQ(crc.value(), want);
 }
 
 TEST(FlowStore, RoundTripIsBitExact) {
@@ -245,6 +321,26 @@ TEST(FlowStore, GarbageFileIsRejected) {
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kFormat);
     EXPECT_EQ(e.byte_offset(), 0u);
+  }
+}
+
+TEST(FlowStore, SeriesLargerThanTheWriteBufferRoundTrips) {
+  // Small flows coalesce in the writer's 64 KiB buffer; a 160 KB series
+  // bypasses it. Both must land in order, in one CRC.
+  auto dataset = make_dataset(40);
+  dataset[17].throughput_mbps.resize(20000);
+  for (std::size_t i = 0; i < dataset[17].throughput_mbps.size(); ++i) {
+    dataset[17].throughput_mbps[i] = 0.25 * static_cast<double>(i);
+  }
+  TempPath p{"store_bigseries.ccfs"};
+  write_store(p.str(), dataset);
+  FlowStoreReader r{p.str()};
+  ASSERT_EQ(r.size(), dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const auto s = r.series(i);
+    ASSERT_TRUE(std::equal(s.begin(), s.end(), dataset[i].throughput_mbps.begin(),
+                           dataset[i].throughput_mbps.end()))
+        << "flow " << i;
   }
 }
 
