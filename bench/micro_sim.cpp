@@ -20,6 +20,7 @@
 #include "queue/drop_tail.hpp"
 #include "queue/drr_fair_queue.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 #include "telemetry/run_report.hpp"
 
 namespace {
@@ -28,21 +29,18 @@ using namespace ccc;
 
 /// The scheduler chain: one self-rescheduling event, +1 us per hop, on the
 /// fire-and-forget member form the simulator's periodic ticks use. With
-/// `churn` set, every hop also cancels the previous cancellable 200 ms
-/// member timer and arms a new one — TcpSender's RTO shape, which piles
-/// cancelled records into the heap and exercises slab reuse + compaction.
+/// `churn` set, every hop also re-arms a 200 ms sim::Timer — TcpSender's
+/// RTO shape: the deadline moves later on every "ACK", and the timer's one
+/// pending entry wakes idle and re-pushes once per 200 ms.
 struct ChainDriver {
   sim::Scheduler& sched;
   int events;
   bool churn;
   int count{0};
-  sim::EventId rto{0};
   void on_rto() {}
+  sim::Timer<&ChainDriver::on_rto> rto{sched, this};
   void tick() {
-    if (churn) {
-      sched.cancel(rto);  // "ACK arrived": disarm the previous timer
-      rto = sched.schedule_member_after<&ChainDriver::on_rto>(Time::ms(200), this);
-    }
+    if (churn) rto.arm_after(Time::ms(200));  // "ACK arrived": push the deadline out
     if (++count < events) sched.schedule_member_fire_after<&ChainDriver::tick>(Time::us(1), this);
   }
 };
@@ -115,7 +113,7 @@ BENCHMARK(BM_EndToEndFlowSecond);
 
 void BM_SchedulerTimerChurn(benchmark::State& state) {
   // The retransmission-timer pattern: every event re-arms a far-future
-  // timer and cancels the previous one.
+  // timer, moving its deadline later.
   for (auto _ : state) {
     std::uint64_t events = 0;
     benchmark::DoNotOptimize(run_chain(10000, /*churn=*/true, events));
@@ -126,9 +124,8 @@ BENCHMARK(BM_SchedulerTimerChurn);
 
 // ----------------------------------------------------------------------
 // Headline scopes, each driving the scheduler through the forms the
-// simulator's own components use (schedule_member_fire, the cancellable
-// schedule_member/schedule_call timers, the delivery batches), so these
-// numbers move when the engine moves:
+// simulator's own components use (schedule_member_fire, sim::Timer, the
+// delivery batches), so these numbers move when the engine moves:
 //   scheduler_chain        fire-and-forget self-chain (run_chain)
 //   scheduler_timer_churn  the chain plus RTO churn (run_chain, churn)
 //   sim_delivery           packet delivery chain through a SoA delivery
@@ -188,12 +185,12 @@ struct ShapeMixedDriver {
   sim::Scheduler::BatchId batch;
   sim::Packet proto;
   int count{0};
-  sim::EventId rto{0};
+  void on_rto() {}
+  sim::Timer<&ShapeMixedDriver::on_rto> rto{sched, this};
   explicit ShapeMixedDriver(sim::Scheduler& s)
       : sched{s}, batch{s.register_delivery_batch(sink)} {}
   void tick() {
-    sched.cancel(rto);
-    rto = sched.schedule_call_after(Time::ms(200), [](void*, std::uint64_t) {}, nullptr);
+    rto.arm_after(Time::ms(200));
     // A 10 ms flight time at one departure/us keeps ~10,000 deliveries in
     // the air — parked in the SoA batch (the production Link path), not in
     // the timer heap, so the heap holds only the chain and RTO timers.

@@ -24,9 +24,9 @@
 #          ctest -L "sim|transport|queue"
 #          (tsan and asan build RelWithDebInfo, i.e. -DNDEBUG, so only this
 #          job runs the Debug-only checks: the scheduler's active-batch
-#          audit and its exact stale-entry count at every heap compaction,
-#          the sender's SACK-scoreboard audit on every ACK, and the
-#          scoreboard lookup oracle)
+#          audit, sim::Timer's callback-runs-at-its-deadline assert, the
+#          sender's SACK-scoreboard audit on every ACK, and the scoreboard
+#          lookup oracle)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|debug|all]   (default: all)
 # Build trees land in build-tsan/, build-asan/ and build-debug/ next to

@@ -6,7 +6,10 @@
 namespace ccc::flow {
 
 TcpReceiver::TcpReceiver(sim::Scheduler& sched, ReceiverConfig cfg, sim::PacketSink& ack_out)
-    : sched_{sched}, cfg_{cfg}, ack_out_{ack_out} {}
+    : sched_{sched},
+      cfg_{cfg},
+      ack_out_{ack_out},
+      delayed_ack_timer_{sched, this} {}
 
 TcpReceiver::TcpReceiver(sim::Scheduler& sched, sim::FlowId flow, sim::UserId user,
                          sim::PacketSink& ack_out, ByteCount advertised_window)
@@ -43,10 +46,11 @@ void TcpReceiver::deliver(const sim::Packet& pkt) {
   // Delayed-ACK policy applies only to clean in-order arrivals; anything
   // out of order, duplicate, or ECN-marked is ACKed immediately so loss
   // recovery and ECN feedback stay prompt (RFC 5681 §4.2).
+  const Echo echo{pkt.sent_at, pkt.ecn_marked};
   if (cfg_.delayed_ack > Time::zero() && in_order && ooo_.empty() && !pkt.ecn_marked) {
-    arm_delayed_ack(pkt);
+    arm_delayed_ack(echo);
   } else {
-    emit_ack(pkt);
+    emit_ack(echo);
   }
 }
 
@@ -73,30 +77,22 @@ void TcpReceiver::buffer_out_of_order(std::int64_t start, std::int64_t end) {
   ooo_.erase(std::next(it), next);
 }
 
-void TcpReceiver::arm_delayed_ack(const sim::Packet& data) {
-  pending_echo_ = data;
+void TcpReceiver::arm_delayed_ack(Echo echo) {
+  pending_echo_ = echo;
   if (++unacked_data_packets_ >= 2) {
-    emit_ack(data);
+    emit_ack(echo);
     return;
   }
-  if (!delayed_armed_) {
-    delayed_armed_ = true;
-    delayed_event_ =
-        sched_.schedule_member_after<&TcpReceiver::on_delayed_ack_fire>(cfg_.delayed_ack, this);
-  }
+  if (!delayed_ack_timer_.armed()) delayed_ack_timer_.arm_after(cfg_.delayed_ack);
 }
 
 void TcpReceiver::on_delayed_ack_fire() {
-  delayed_armed_ = false;
   if (unacked_data_packets_ > 0) emit_ack(pending_echo_);
 }
 
-void TcpReceiver::emit_ack(const sim::Packet& data) {
+void TcpReceiver::emit_ack(Echo echo) {
   unacked_data_packets_ = 0;
-  if (delayed_armed_) {
-    sched_.cancel(delayed_event_);
-    delayed_armed_ = false;
-  }
+  delayed_ack_timer_.disarm();
 
   sim::Packet ack;
   ack.flow = cfg_.flow_id;
@@ -104,11 +100,11 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
   ack.is_ack = true;
   ack.size_bytes = sim::kAckBytes;
   ack.ack_seq = rcv_nxt_;
-  ack.echo_sent_at = data.sent_at;
+  ack.echo_sent_at = echo.sent_at;
   ack.delivered_bytes = rcv_nxt_;
   ack.received_total = rcv_nxt_ + ooo_bytes_;  // every distinct byte arrived
   ack.receiver_window = cfg_.advertised_window;
-  ack.ece = data.ecn_marked;
+  ack.ece = echo.ce;
   ack.sent_at = sched_.now();
   // SACK blocks: advertise up to kMaxSack out-of-order ranges (RFC 2018).
   // Report the *highest* ranges: they pin down high_sacked at the sender,

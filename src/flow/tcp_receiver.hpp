@@ -8,6 +8,7 @@
 
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace ccc::flow {
 
@@ -40,12 +41,21 @@ class TcpReceiver : public sim::PacketSink {
   [[nodiscard]] std::uint64_t packets_received() const { return packets_received_; }
   [[nodiscard]] std::uint64_t duplicate_packets() const { return duplicate_packets_; }
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
+  /// Idle wake-ups of the delayed-ACK timer (sim::Timer::idle_wakeups).
+  [[nodiscard]] std::uint64_t timer_idle_wakeups() const {
+    return delayed_ack_timer_.idle_wakeups();
+  }
 
  private:
   /// Buffers out-of-order bytes [start, end), start > rcv_nxt_.
   void buffer_out_of_order(std::int64_t start, std::int64_t end);
-  void emit_ack(const sim::Packet& data);
-  void arm_delayed_ack(const sim::Packet& data);
+  /// What an ACK echoes of the data packet it acknowledges.
+  struct Echo {
+    Time sent_at;
+    bool ce;  ///< the data packet's CE mark
+  };
+  void emit_ack(Echo echo);
+  void arm_delayed_ack(Echo echo);
   void on_delayed_ack_fire();
 
   sim::Scheduler& sched_;
@@ -70,9 +80,8 @@ class TcpReceiver : public sim::PacketSink {
 
   // Delayed-ACK state.
   int unacked_data_packets_{0};
-  bool delayed_armed_{false};
-  sim::EventId delayed_event_{0};
-  sim::Packet pending_echo_{};  ///< the packet whose timestamp we will echo
+  sim::Timer<&TcpReceiver::on_delayed_ack_fire> delayed_ack_timer_;
+  Echo pending_echo_{Time::zero(), false};  ///< what the delayed ACK will echo
 };
 
 }  // namespace ccc::flow

@@ -17,6 +17,8 @@ TcpSender::TcpSender(sim::Scheduler& sched, SenderConfig cfg,
       app_{source},
       out_{out},
       rto_{cfg.initial_rto},
+      rto_timer_{sched, this},
+      pacing_timer_{sched, this},
       limit_since_{sched.now()} {
   assert(cc_ != nullptr);
   app_.set_data_ready_hook([this] {
@@ -115,11 +117,7 @@ void TcpSender::try_send() {
     // Pacing: honor the CCA's rate if it supplies one.
     const Rate pace = cc_->pacing_rate();
     if (!pace.is_zero() && now < next_send_time_) {
-      if (!pacing_wake_armed_) {
-        pacing_wake_armed_ = true;
-        pacing_event_ =
-            sched_.schedule_member_at<&TcpSender::on_pacing_fire>(next_send_time_, this);
-      }
+      if (!pacing_timer_.armed()) pacing_timer_.arm(next_send_time_);
       set_limit(SendLimit::kNone);  // limited only by pacing spacing
       return;
     }
@@ -170,7 +168,7 @@ void TcpSender::transmit(Segment& seg, bool is_retx) {
   // pending timeout still guards the oldest outstanding data. (Re-arming on
   // every transmission would let a continuously-sending flow starve its own
   // timeout while a lost retransmission pins snd_una forever.)
-  if (rto_event_ == 0) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_t seq) {
@@ -388,8 +386,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
   if (inflight_bytes() > 0) {
     arm_rto();
   } else {
-    sched_.cancel(rto_event_);
-    rto_event_ = 0;
+    rto_timer_.disarm();
   }
   maybe_complete();
 }
@@ -458,19 +455,14 @@ void TcpSender::update_rtt(Time sample) {
 }
 
 void TcpSender::arm_rto() {
-  sched_.cancel(rto_event_);
   Time timeout = rto_;
   for (int i = 0; i < rto_backoff_; ++i) timeout = std::min(timeout * 2, cfg_.max_rto);
-  rto_event_ = sched_.schedule_member_after<&TcpSender::on_rto_fire>(timeout, this);
+  rto_timer_.arm_after(timeout);
 }
 
-void TcpSender::on_pacing_fire() {
-  pacing_wake_armed_ = false;
-  try_send();
-}
+void TcpSender::on_pacing_fire() { try_send(); }
 
 void TcpSender::on_rto_fire() {
-  rto_event_ = 0;
   if (inflight_bytes() <= 0 || completed_) return;
 
   // Tail-loss probe (RACK-TLP in spirit): on the first expiry since ACK
@@ -514,8 +506,8 @@ void TcpSender::maybe_complete() {
   if (!app_.finished(sched_.now()) || inflight_bytes() > 0) return;
   completed_ = true;
   set_limit(SendLimit::kDone);
-  sched_.cancel(rto_event_);
-  sched_.cancel(pacing_event_);
+  rto_timer_.disarm();
+  pacing_timer_.disarm();
   if (on_complete_) on_complete_(sched_.now());
 }
 

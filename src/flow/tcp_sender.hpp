@@ -22,6 +22,7 @@
 #include "cca/cca.hpp"
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace ccc::telemetry {
 class Histogram;
@@ -108,6 +109,11 @@ class TcpSender : public sim::PacketSink {
   /// costs one probe, a sub-MSS flow's falls back to a binary search.
   [[nodiscard]] std::uint64_t scoreboard_lookups() const { return scoreboard_lookups_; }
   [[nodiscard]] std::uint64_t scoreboard_probes() const { return scoreboard_probes_; }
+  /// Idle wake-ups of the RTO and pacing timers (sim::Timer::idle_wakeups;
+  /// tests account for them in Scheduler::events_executed()).
+  [[nodiscard]] std::uint64_t timer_idle_wakeups() const {
+    return rto_timer_.idle_wakeups() + pacing_timer_.idle_wakeups();
+  }
 
   /// Invoked once, when the app finishes and all its bytes are ACKed.
   void set_on_complete(std::function<void(Time)> fn) { on_complete_ = std::move(fn); }
@@ -214,12 +220,11 @@ class TcpSender : public sim::PacketSink {
   Time rto_;
   Time min_rtt_{Time::never()};
   int rto_backoff_{0};
-  sim::EventId rto_event_{0};
+  sim::Timer<&TcpSender::on_rto_fire> rto_timer_;
 
   Time next_send_time_{Time::zero()};  // pacing release time
   Time last_transmit_{Time::never()};  // for idle-restart detection
-  sim::EventId pacing_event_{0};
-  bool pacing_wake_armed_{false};
+  sim::Timer<&TcpSender::on_pacing_fire> pacing_timer_;  ///< armed while a wake-up is due
 
   SendLimit limit_{SendLimit::kNone};
   Time limit_since_;  ///< when limit_ last changed

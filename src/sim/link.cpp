@@ -14,7 +14,8 @@ Link::Link(Scheduler& sched, Rate rate, Time prop_delay, std::unique_ptr<Qdisc> 
       rate_{rate},
       prop_delay_{prop_delay},
       qdisc_{std::move(qdisc)},
-      batch_{sched.register_delivery_batch(dst)} {
+      batch_{sched.register_delivery_batch(dst)},
+      wake_timer_{sched, this} {
   assert(rate_.to_bps() > 0.0);
   assert(qdisc_ != nullptr);
 }
@@ -87,9 +88,10 @@ void Link::maybe_start_tx() {
 
   if (ready > now) {
     // Shaper holding bytes: wake up when the head packet becomes eligible.
-    // Re-arm only if the new wake time is sooner than a pending one.
-    sched_.cancel(wake_event_);
-    wake_event_ = sched_.schedule_member_at<&Link::maybe_start_tx>(ready, this);
+    // Re-arm only if the new wake time is sooner than a pending one:
+    // Timer::arm pushes a heap entry only then, and a later wake time just
+    // moves the deadline its pending entry checks.
+    wake_timer_.arm(ready);
     return;
   }
 

@@ -15,6 +15,7 @@
 #include "sim/packet.hpp"
 #include "sim/qdisc.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 #include "util/units.hpp"
 
 namespace ccc::telemetry {
@@ -62,6 +63,8 @@ class Link {
   [[nodiscard]] const Qdisc& qdisc() const { return *qdisc_; }
   [[nodiscard]] Qdisc& qdisc() { return *qdisc_; }
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
+  /// Idle wake-ups of the shaper wake timer (sim::Timer::idle_wakeups).
+  [[nodiscard]] std::uint64_t timer_idle_wakeups() const { return wake_timer_.idle_wakeups(); }
 
   /// Average utilization over the interval [Time::zero(), now].
   [[nodiscard]] double utilization(Time now) const;
@@ -94,9 +97,10 @@ class Link {
   /// append precondition.
   Scheduler::BatchId batch_;
   bool busy_{false};
-  EventId wake_event_{0};
+  /// Shaper wake-up: when the qdisc's head packet becomes eligible.
+  Timer<&Link::maybe_start_tx> wake_timer_;
   /// In-flight serialization plan. Completion events are fire-and-forget
-  /// (hot path: no cancellation slab), so a mid-flight set_rate cannot
+  /// (the scheduler cannot cancel), so a mid-flight set_rate cannot
   /// cancel the pending completion — instead each (re)plan bumps tx_epoch_
   /// and schedules a fresh completion carrying its epoch; a firing whose
   /// epoch is stale was superseded and is ignored. Fixed-rate links never

@@ -5,45 +5,19 @@
 
 namespace ccc::sim {
 
-std::uint32_t Scheduler::acquire_slot() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].armed = true;
-  ++live_;
-  return slot;
-}
-
-void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.armed = false;
-  ++s.gen;
-  free_slots_.push_back(slot);
-  --live_;
-}
-
 void Scheduler::push_heap_entry(const Entry& e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-EventId Scheduler::schedule_call_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
-  assert(at >= now_ && "cannot schedule into the past");
-  const std::uint32_t slot = acquire_slot();
-  const std::uint32_t gen = slots_[slot].gen;
-  push_heap_entry({at, next_seq_++, slot, gen, fn, ctx, arg});
-  return make_id(slot, gen);
+void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
+  schedule_fire_at_seq(at, next_seq_++, fn, ctx, arg);
 }
 
-void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
+void Scheduler::schedule_fire_at_seq(Time at, std::uint64_t seq, RawCallback fn, void* ctx,
+                                     std::uint64_t arg) {
   assert(at >= now_ && "cannot schedule into the past");
-  ++live_;
-  push_heap_entry({at, next_seq_++, kNoSlot, 0, fn, ctx, arg});
+  push_heap_entry({at, seq, fn, ctx, arg});
 }
 
 Scheduler::BatchId Scheduler::register_delivery_batch(PacketSink& sink) {
@@ -75,7 +49,6 @@ void Scheduler::schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool
   q.at.push_back(at);
   q.seq.push_back(seq);
   q.handle.push_back(h);
-  ++live_;
   ++batch_live_;
   if (was_empty) {
     if (!q.listed) {
@@ -155,34 +128,7 @@ void Scheduler::audit_active_batches() const {
 }
 #endif
 
-void Scheduler::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffff'ffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (!s.armed || s.gen != gen) return;  // already fired/cancelled, or reused
-  release_slot(slot);
-  // The heap still holds this event's entry; it is now stale and will be
-  // dropped lazily when popped — unless stale entries start to dominate, in
-  // which case we compact in place so disarmed timers cannot grow the heap
-  // forever.
-  if (++stale_ >= 64 && stale_ > heap_.size() / 2) compact();
-}
-
-void Scheduler::compact() {
-  [[maybe_unused]] const std::size_t removed =
-      std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
-  assert(removed == stale_ && "stale_ disagrees with the heap's cancelled entries");
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  stale_ = 0;
-}
-
 bool Scheduler::pop_next(Entry& out, std::uint32_t& batch, Time limit) {
-  // Drop stale (cancelled) entries at the front without executing.
-  while (!heap_.empty() && !is_live(heap_.front())) {
-    pop_front();
-    --stale_;
-  }
   const Entry* front = heap_.empty() ? nullptr : &heap_.front();
   // Merge the batch minimum's front in by the same (time, seq) key. When it
   // wins, report the batch — the queue itself is consumed by
@@ -212,11 +158,6 @@ void Scheduler::pop_front() {
 void Scheduler::fire(const Entry& e) {
   now_ = e.at;
   ++executed_;
-  if (e.slot != kNoSlot) {
-    release_slot(e.slot);  // before the call: it may re-arm the same timer
-  } else {
-    --live_;  // fire-and-forget: no slot to release
-  }
   e.fn(e.ctx, e.arg);
 }
 
@@ -244,10 +185,10 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
       q.head = 0;
     }
     // Exclusive bound (bt, bs): the earliest event that is *not* ours. Valid
-    // until a sink callback schedules something — every schedule_* bumps
-    // next_seq_, so an unchanged next_seq_ means an unchanged bound (cancels
-    // don't bump it, but a cancelled front only leaves the bound
-    // conservative — we hand back to pop_next early — never wrong).
+    // until a sink callback schedules something — every schedule_* and every
+    // Timer::arm bumps next_seq_, so an unchanged next_seq_ means an
+    // unchanged bound. (A Timer's re-push under its old ticket happens only
+    // when one of its entries fires, and every fire below resets the bound.)
     if (!have_bound || next_seq_ != bound_mark) {
       bt = limit;
       bs = UINT64_MAX;
@@ -278,23 +219,14 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
     const std::size_t begin = q.head;
     const Time t = q.at[begin];
     if (!(t < bt || (t == bt && q.seq[begin] < bs))) {
-      // The next event is not ours. When it is the live heap front — in a
+      // The next event is not ours. When it is the heap front — in a
       // busy sim deliveries and timers interleave tightly — fire it inline
       // and keep draining: bouncing through pop_next costs more than the
       // event itself. Another batch's front is rarer; hand it back to
       // pop_next's merge.
       if (!heap_bound || heap_.empty()) break;
       const Entry e = heap_.front();
-      if (e.at != bt || e.seq != bs) {
-        have_bound = false;  // front changed under us (e.g. a compact)
-        continue;
-      }
-      if (!is_live(e)) {
-        pop_front();
-        --stale_;
-        have_bound = false;
-        continue;
-      }
+      assert(e.at == bt && e.seq == bs && "a memoized heap bound is the heap front");
       pop_front();
       fire(e);
       have_bound = false;  // the callback may have scheduled or consumed
@@ -308,7 +240,6 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit) {
     const std::size_t run = end - begin;
     now_ = t;
     executed_ += run;
-    live_ -= run;
     batch_live_ -= run;
     q.head = end;  // consumed before delivery: sinks observe a popped queue
     PacketSink* const sink = q.sink;

@@ -7,12 +7,17 @@
 //
 //  * Typed events. A stored entry carries a raw function pointer + context
 //    + a 64-bit argument, called as fn(ctx, arg): nothing is allocated and
-//    nothing is type-erased. Cancellable events (schedule_call_*,
-//    schedule_member_*) hold a generation-counted slab slot, so a stale id
-//    never aliases a newer event; fire-and-forget events (schedule_fire_*,
-//    schedule_member_fire_*) skip the slab entirely (slot == kNoSlot).
+//    nothing is type-erased. Every event is fire-and-forget: nothing in the
+//    queue can be cancelled.
 //
-//  * One binary heap holds every timer, cancellable or fire-and-forget.
+//  * Timers own their deadlines. A timer that is re-armed or disarmed
+//    before it fires (the RTO, pacing, the delayed ACK, a shaper wake-up)
+//    is a sim::Timer (sim/timer.hpp): it keeps its deadline as its own
+//    state and ignores the entries it no longer needs when they fire.
+//
+//  * One binary heap holds every timed callback. Nothing in it is ever
+//    cancelled, so there is no stale-entry bookkeeping; a Timer whose
+//    deadline only moves later keeps at most one entry there.
 //
 //  * Per-sink delivery batches. A component whose arrivals are
 //    time-monotonic — a Link's propagation pipe, a DelayLine — registers a
@@ -25,9 +30,11 @@
 //    single deliver_batch() call. Every delivery keeps its unique
 //    (time, seq) key, so the firing order is the one-entry-per-packet order.
 //
-// Cancelled events are lazily dropped when popped; if too many accumulate
-// (long-lived retransmission timers that ACKs keep disarming), the heap is
-// compacted in place so it cannot grow unboundedly.
+// Lifetime: the scheduler holds raw context pointers, so every owner of a
+// pending entry — a fire-and-forget callback's context, a Timer, a delivery
+// batch's sink — must outlive the scheduler's run (or the run must end
+// before the entry is due). TcpSender::start's on_start_fire and every
+// Timer rely on this.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +46,15 @@
 
 namespace ccc::sim {
 
-/// Identifies a scheduled event so it can be cancelled (e.g. a retransmission
-/// timer disarmed by an ACK). Packed as (generation << 32) | slot: the slab
-/// slot is reused after the event fires or is cancelled, but its generation
-/// counter is bumped on every release, so a stale id never aliases a newer
-/// event scheduled into the same slot.
-using EventId = std::uint64_t;
-
 /// Payload of a scheduled event: called as fn(ctx, arg). The common
 /// timer shape is fn = a captureless-lambda trampoline, ctx = the component,
 /// arg = optional small payload (a PacketPool handle, a bit_cast double).
 using RawCallback = void (*)(void* ctx, std::uint64_t arg);
 
-/// A time-ordered event queue with cancellation.
+template <auto MemFn>
+class Timer;  // sim/timer.hpp
+
+/// A time-ordered event queue.
 ///
 /// Events at equal times fire in the order they were scheduled (FIFO), which
 /// makes packet orderings — and therefore whole experiments — reproducible.
@@ -65,37 +68,18 @@ class Scheduler {
   [[nodiscard]] PacketPool& packets() { return pool_; }
   [[nodiscard]] const PacketPool& packets() const { return pool_; }
 
-  /// Schedules fn(ctx, arg) at absolute time `at`; the returned id can
-  /// cancel it. Precondition: at >= now() (the past cannot be scheduled).
-  EventId schedule_call_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg = 0);
-  EventId schedule_call_after(Time delay, RawCallback fn, void* ctx, std::uint64_t arg = 0) {
-    return schedule_call_at(now_ + delay, fn, ctx, arg);
-  }
-
-  /// Sugar for the dominant timer shape: a nullary member function on a
-  /// component, e.g. schedule_member_at<&TcpSender::on_rto_fire>(t, this).
-  /// Compiles to a captureless trampoline — no allocation, no type erasure.
-  template <auto MemFn, class T>
-  EventId schedule_member_at(Time at, T* obj) {
-    return schedule_call_at(
-        at, [](void* ctx, std::uint64_t) { (static_cast<T*>(ctx)->*MemFn)(); }, obj);
-  }
-  template <auto MemFn, class T>
-  EventId schedule_member_after(Time delay, T* obj) {
-    return schedule_member_at<MemFn>(now_ + delay, obj);
-  }
-
-  /// Fire-and-forget event: like schedule_call_at but not cancellable, so
-  /// it skips the cancellation slab entirely (no slot, no generation, no
-  /// EventId). The cheapest way to run a callback later; use it for the many
-  /// timers whose ids are discarded — transmit completions, workload
-  /// arrivals, periodic self-rescheduling ticks.
+  /// Schedules fn(ctx, arg) at absolute time `at`. Precondition: at >= now()
+  /// (the past cannot be scheduled). Events cannot be cancelled; a timer
+  /// that may be re-armed or disarmed is a sim::Timer.
   void schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg = 0);
   void schedule_fire_after(Time delay, RawCallback fn, void* ctx, std::uint64_t arg = 0) {
     schedule_fire_at(now_ + delay, fn, ctx, arg);
   }
 
-  /// Member-function sugar for schedule_fire_at (not cancellable).
+  /// Sugar for the dominant shape: a nullary member function on a
+  /// component, e.g. schedule_member_fire_at<&TcpSender::on_start_fire>(t,
+  /// this). Compiles to a captureless trampoline — no allocation, no type
+  /// erasure.
   template <auto MemFn, class T>
   void schedule_member_fire_at(Time at, T* obj) {
     schedule_fire_at(
@@ -156,43 +140,34 @@ class Scheduler {
   /// per-scan cost is the active list, not every batch ever registered).
   [[nodiscard]] std::uint64_t batch_scan_visits() const { return batch_scan_visits_; }
 
-  /// Cancels a pending event. Cancelling an already-fired, already-cancelled
-  /// or unknown id is a harmless no-op (timers race with the events that
-  /// disarm them).
-  void cancel(EventId id);
-
   /// Runs events until the queue is empty or simulated time would exceed
   /// `end`; leaves now() == end (events exactly at `end` do fire).
   void run_until(Time end);
 
   /// Number of events executed since construction (for perf benches).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  /// Number of live (non-cancelled) pending events.
-  [[nodiscard]] std::size_t pending() const { return live_; }
-  /// Heap records including not-yet-collected cancelled ones (tests use
-  /// this to verify compaction keeps storage bounded under cancel churn).
+  /// Number of pending events: heap entries plus queued batch deliveries.
+  [[nodiscard]] std::size_t pending() const { return heap_.size() + batch_live_; }
+  /// Heap entries: timed callbacks, including Timer entries that will fire
+  /// idle (tests pin that this tracks the live timer count).
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
-  /// Sentinel slot for fire-and-forget entries that carry no cancellation
-  /// state. Such entries are always live.
-  static constexpr std::uint32_t kNoSlot = 0xffff'ffffu;
+  template <auto MemFn>
+  friend class Timer;
 
-  /// A slab slot holding one cancellable event's identity. `gen` counts how
-  /// many times the slot has been released; an EventId or queue entry
-  /// carrying an older generation is stale. (Wrap after 2^32 releases of a
-  /// single slot is beyond any simulation we run.)
-  struct Slot {
-    std::uint32_t gen{1};
-    bool armed{false};
-  };
+  /// Draws the next FIFO tie-break ticket without scheduling anything.
+  std::uint64_t take_seq() { return next_seq_++; }
+  /// Schedules fn(ctx, arg) at `at` under a ticket drawn earlier by
+  /// take_seq(): a Timer re-pushing its deadline keeps the tie-break position
+  /// of the arm() that set it. Precondition: at >= now().
+  void schedule_fire_at_seq(Time at, std::uint64_t seq, RawCallback fn, void* ctx,
+                            std::uint64_t arg);
 
   /// A heap record: one scheduled event.
   struct Entry {
     Time at;
-    std::uint64_t seq;   // global schedule order: FIFO tie-break at equal times
-    std::uint32_t slot;  // kNoSlot for fire-and-forget events
-    std::uint32_t gen;
+    std::uint64_t seq;  // global schedule order: FIFO tie-break at equal times
     RawCallback fn;
     void* ctx;
     std::uint64_t arg;
@@ -209,25 +184,10 @@ class Scheduler {
   };
   static constexpr Later later{};
 
-  [[nodiscard]] static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(gen) << 32) | slot;
-  }
-  [[nodiscard]] bool is_live(const Entry& e) const {
-    if (e.slot == kNoSlot) return true;
-    const Slot& s = slots_[e.slot];
-    return s.armed && s.gen == e.gen;
-  }
-
-  /// Allocates a slab slot for a cancellable event and returns its index.
-  std::uint32_t acquire_slot();
-  /// Returns a live slot to the free list, bumping its generation so stale
-  /// ids/entries cannot alias it.
-  void release_slot(std::uint32_t slot);
-
   /// Pushes an entry onto the heap.
   void push_heap_entry(const Entry& e);
 
-  /// Finds the globally-earliest live event — heap and delivery-batch
+  /// Finds the globally-earliest event — heap and delivery-batch
   /// fronts both considered. Returns false if there is none at or before
   /// `limit`. When a heap entry wins it is popped into `out` and `batch` is
   /// kNoBatch; when a delivery batch's front wins nothing is popped and
@@ -235,11 +195,7 @@ class Scheduler {
   bool pop_next(Entry& out, std::uint32_t& batch, Time limit);
   /// Pops the front heap entry (the earliest).
   void pop_front();
-  /// Rebuilds the heap without stale (cancelled) entries. Debug builds
-  /// check that exactly stale_ entries were removed.
-  void compact();
-  /// Executes one popped entry: advances the clock, releases its slot and
-  /// calls it.
+  /// Executes one popped entry: advances the clock and calls it.
   void fire(const Entry& e);
 
   // ---- delivery-batch internals ----
@@ -276,16 +232,12 @@ class Scheduler {
   Time now_{Time::zero()};
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
-  std::size_t live_{0};   // armed slots + pending fire-and-forget entries
-  std::size_t stale_{0};  // cancelled entries still sitting in the heap (exact)
   std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
   PacketPool pool_;
 
-  // Delivery batches. batch_live_ counts queued batch deliveries (they are
-  // part of live_ too); batch_min_ caches which batch currently owns the
-  // earliest front so pop_next pays O(1) on the no-batch/quiet path.
+  // Delivery batches. batch_live_ counts queued batch deliveries; batch_min_
+  // caches which batch currently owns the earliest front so pop_next pays
+  // O(1) on the no-batch/quiet path.
   // active_ lists every non-empty batch (in no particular order: ties break
   // on the unique seq, so scan order never changes a result). An append to
   // an unlisted batch adds it; recompute_batch_min() lazily swap-removes the

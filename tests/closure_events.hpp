@@ -1,5 +1,5 @@
 // Test-only helper: schedules std::function bodies on a sim::Scheduler
-// through its typed, cancellable call path (schedule_call_at), so tests can
+// through its typed fire-and-forget path (schedule_fire_at), so tests can
 // write their events as inline lambdas. The helper owns every body it was
 // handed until it is destroyed; a std::deque keeps each body at a stable
 // address even while a running body schedules more.
@@ -18,13 +18,11 @@ class ClosureEvents {
  public:
   explicit ClosureEvents(sim::Scheduler& sched) : sched_{sched} {}
 
-  sim::EventId at(Time t, std::function<void()> fn) {
+  void at(Time t, std::function<void()> fn) {
     bodies_.push_back(std::move(fn));
-    return sched_.schedule_call_at(t, &run, &bodies_.back());
+    sched_.schedule_fire_at(t, &run, &bodies_.back());
   }
-  sim::EventId after(Time delay, std::function<void()> fn) {
-    return at(sched_.now() + delay, std::move(fn));
-  }
+  void after(Time delay, std::function<void()> fn) { at(sched_.now() + delay, std::move(fn)); }
 
  private:
   static void run(void* body, std::uint64_t) { (*static_cast<std::function<void()>*>(body))(); }

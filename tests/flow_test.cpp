@@ -490,6 +490,18 @@ std::array<std::uint64_t, 9> stat_fields(const SenderStats& s) {
           s.rtt_samples};
 }
 
+/// Idle wake-ups of every sim::Timer in a dumbbell: each flow's RTO, pacing
+/// and delayed-ACK timers, plus the bottleneck's shaper wake. The engine
+/// these goldens were pinned on cancelled timers instead, and a cancelled
+/// event never ran, so the pinned count plus this sum is the exact count.
+std::uint64_t timer_idle_wakeups(core::DumbbellScenario& net) {
+  std::uint64_t n = net.bottleneck().timer_idle_wakeups();
+  for (std::size_t i = 0; i < net.flow_count(); ++i) {
+    n += net.flow(i).sender().timer_idle_wakeups() + net.flow(i).receiver().timer_idle_wakeups();
+  }
+  return n;
+}
+
 TEST(ScoreboardGolden, SackHeavyShallowBufferMix) {
   // Cubic, Reno and BBR through a quarter-BDP drop-tail buffer: BBR's
   // overshoot keeps all three in SACK recovery, with RTOs, for the whole
@@ -513,7 +525,7 @@ TEST(ScoreboardGolden, SackHeavyShallowBufferMix) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(stat_fields(net.flow(i).sender().stats()), want[i]) << "flow " << i;
   }
-  EXPECT_EQ(net.scheduler().events_executed(), 18976u);
+  EXPECT_EQ(net.scheduler().events_executed(), 18976u + timer_idle_wakeups(net));
 }
 
 TEST(ScoreboardGolden, AllAcksLostRto) {
@@ -531,7 +543,8 @@ TEST(ScoreboardGolden, AllAcksLostRto) {
   sched.run_until(Time::sec(30.0));
   const std::array<std::uint64_t, 9> want{14480, 5792, 0, 14, 4, 3, 1, 0, 0};
   EXPECT_EQ(stat_fields(sender.stats()), want);
-  EXPECT_EQ(sched.events_executed(), 33u);
+  EXPECT_EQ(sched.events_executed(),
+            33u + sender.timer_idle_wakeups() + link.timer_idle_wakeups());
 }
 
 TEST(ScoreboardGolden, SubMssAppLimitedMix) {
@@ -561,7 +574,33 @@ TEST(ScoreboardGolden, SubMssAppLimitedMix) {
     EXPECT_GT(sender.scoreboard_probes(), sender.scoreboard_lookups())
         << "flow " << i << ": the sub-MSS miss path must run";
   }
-  EXPECT_EQ(net.scheduler().events_executed(), 26623u);
+  EXPECT_EQ(net.scheduler().events_executed(), 26623u + timer_idle_wakeups(net));
+}
+
+TEST(TimerHeap, TracksLiveTimersOnAppLimitedDumbbell) {
+  // fig5's shape: Cubic behind rate-limited apps through a quarter-BDP
+  // drop-tail buffer. Every ACK pushes an RTO deadline out; with timers
+  // that own their deadlines that moves no heap entry, so the heap holds
+  // at most one entry per live timer or event source (10 of 14 at most
+  // here). Cancelling and re-pushing the RTO per ACK kept up to 68 entries
+  // in this run. Sampled every simulated 100 ms.
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 0.25;
+  core::DumbbellScenario net{cfg};
+  for (const double mbps : {3.0, 4.0, 5.0}) {
+    net.add_flow(core::make_cca_factory("cubic")(),
+                 std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(mbps)));
+  }
+  // Per flow: RTO, pacing and delayed-ACK timers plus the app's tick; plus
+  // the bottleneck's shaper wake and its transmit completion.
+  const std::size_t live = 4 * net.flow_count() + 2;
+  std::size_t max_heap = 0;
+  for (int step = 1; step <= 80; ++step) {
+    net.run_until(Time::ms(100 * step));
+    max_heap = std::max(max_heap, net.scheduler().heap_entries());
+  }
+  EXPECT_LE(max_heap, live);
+  EXPECT_GT(net.flow(0).sender().stats().rtt_samples, 1000u);
 }
 
 TEST(ScoreboardLookup, FullMssFlowProbesOncePerLookup) {

@@ -6,8 +6,9 @@
 // the heap or a delivery batch. The golden tests below check large
 // adversarial workloads against an independent reference model of that
 // contract — NOT against the engine's own bookkeeping — so any internal
-// reordering (a batch drained past a timer, a stale entry fired, a tie
-// broken by address) fails loudly.
+// reordering (a batch drained past a timer, a disarmed timer run, a tie
+// broken by address) fails loudly. A sim::Timer counts as scheduled when it
+// is armed: its callback keeps the tie-break position of that arm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,11 +18,11 @@
 
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace {
 
 using namespace ccc;
-using sim::EventId;
 using sim::Scheduler;
 
 /// Deterministic 64-bit mixer (splitmix64) — fixed workload, no <random>.
@@ -42,7 +43,7 @@ struct RefEvent {
   Time at;
   std::uint64_t order;
   int label;
-  bool cancelled{false};
+  bool disarmed{false};
 };
 
 struct LabelSink : sim::PacketSink {
@@ -54,15 +55,14 @@ struct LabelSink : sim::PacketSink {
 struct LabelCtx {
   std::vector<int>* log;
   int label;
+  void fire() { log->push_back(label); }
 };
-void log_label(void* c, std::uint64_t) {
-  auto* ctx = static_cast<LabelCtx*>(c);
-  ctx->log->push_back(ctx->label);
-}
+void log_label(void* c, std::uint64_t) { static_cast<LabelCtx*>(c)->fire(); }
+using LabelTimer = sim::Timer<&LabelCtx::fire>;
 
-/// The forms the simulator's components schedule with: a cancellable typed
-/// call, a fire-and-forget call, and appends to two delivery batches.
-enum class Kind { kCall, kFire, kBatchA, kBatchB };
+/// The forms the simulator's components schedule with: an armed sim::Timer,
+/// a fire-and-forget call, and appends to two delivery batches.
+enum class Kind { kTimer, kFire, kBatchA, kBatchB };
 struct Planned {
   Time at;
   Kind kind;
@@ -87,11 +87,12 @@ void make_batch_appends_monotonic(std::vector<Planned>& plan) {
 }
 
 /// Schedules `plan` (event i labelled i) on `sched`, before the run starts,
-/// then cancels about a third of the cancellable calls. Returns the
-/// reference model: the events that must fire, in (time, schedule-order).
+/// then disarms about a third of the timers. Returns the reference model:
+/// the events that must fire, in (time, schedule-order).
 std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>& plan,
                                     std::vector<int>& fired, std::vector<LabelCtx>& ctxs,
-                                    LabelSink& sink_a, LabelSink& sink_b, Mix& rng) {
+                                    std::deque<LabelTimer>& timers, LabelSink& sink_a,
+                                    LabelSink& sink_b, Mix& rng) {
   sink_a.log = &fired;
   sink_b.log = &fired;
   const Scheduler::BatchId batch_a = sched.register_delivery_batch(sink_a);
@@ -99,7 +100,7 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
   ctxs.resize(plan.size());
   std::vector<RefEvent> model;
   model.reserve(plan.size());
-  std::vector<std::pair<EventId, std::size_t>> cancellable;  // id -> model idx
+  std::vector<std::pair<LabelTimer*, std::size_t>> armed;  // timer -> model idx
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const int label = static_cast<int>(i);
     const Time at = plan[i].at;
@@ -107,8 +108,10 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
     sim::Packet p;
     p.flow = static_cast<sim::FlowId>(label);
     switch (plan[i].kind) {
-      case Kind::kCall:
-        cancellable.emplace_back(sched.schedule_call_at(at, log_label, &ctxs[i]), i);
+      case Kind::kTimer:
+        timers.emplace_back(sched, &ctxs[i]);
+        timers.back().arm(at);
+        armed.emplace_back(&timers.back(), i);
         break;
       case Kind::kFire: sched.schedule_fire_at(at, log_label, &ctxs[i]); break;
       case Kind::kBatchA: sched.schedule_deliver_batch_at(at, batch_a, p); break;
@@ -116,15 +119,15 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
     }
     model.push_back({at, i, label});
   }
-  for (const auto& [id, idx] : cancellable) {
+  for (const auto& [timer, idx] : armed) {
     if (rng.below(3) == 0) {
-      sched.cancel(id);
-      model[idx].cancelled = true;
+      timer->disarm();
+      model[idx].disarmed = true;
     }
   }
   std::vector<RefEvent> expect;
   for (const auto& e : model) {
-    if (!e.cancelled) expect.push_back(e);
+    if (!e.disarmed) expect.push_back(e);
   }
   std::stable_sort(expect.begin(), expect.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -134,9 +137,9 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
 }
 
 /// Golden firing order: an adversarial workload — every event form, delays
-/// from microseconds to minutes plus same-time ties, equal-time
-/// ties, and a third of the cancellable timers cancelled mid-run — must fire
-/// in exactly the (time, schedule-order) sequence of an independent model.
+/// from microseconds to minutes plus same-time ties, and a third of the
+/// timers disarmed before the run — must fire in exactly the
+/// (time, schedule-order) sequence of an independent model.
 TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
   constexpr int kEvents = 20'000;
   Mix rng{0x5eedull};
@@ -160,8 +163,9 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
   std::vector<int> fired;  // labels in actual firing order
   fired.reserve(kEvents);
   std::vector<LabelCtx> ctxs;
+  std::deque<LabelTimer> timers;
   LabelSink sink_a, sink_b;
-  const auto expect = schedule_plan(sched, plan, fired, ctxs, sink_a, sink_b, rng);
+  const auto expect = schedule_plan(sched, plan, fired, ctxs, timers, sink_a, sink_b, rng);
   sched.run_until(Time::sec(1e6));
 
   ASSERT_EQ(fired.size(), expect.size());
@@ -191,30 +195,40 @@ TEST(SchedulerStress, IdenticalWorkloadIsBitIdentical) {
   EXPECT_EQ(run(), run());
 }
 
-/// 1M schedule/cancel cycles of the RTO pattern. Bounded storage: lazy
-/// deletion must not let cancelled records accumulate in the heap beyond
-/// the compaction threshold.
-TEST(SchedulerStress, MillionCancelCyclesStayBounded) {
+/// 1M re-arm cycles of the RTO pattern: a 1 us driver chain pushes a
+/// 200 ms timer's deadline out on every hop. The deadline only moves later,
+/// so the heap holds the driver's next hop and at most one timer entry —
+/// a constant, not O(cycles) — and the callback runs once, at the last
+/// deadline.
+TEST(SchedulerStress, MillionRearmCyclesStayBounded) {
   constexpr int kCycles = 1'000'000;
-  Scheduler sched;
-  EventId rto = 0;
-  std::size_t max_footprint = 0;
-  for (int i = 0; i < kCycles; ++i) {
-    sched.cancel(rto);
-    rto = sched.schedule_call_after(Time::ms(200), [](void*, std::uint64_t) {}, nullptr);
-    if ((i & 1023) == 0) {
-      max_footprint = std::max(max_footprint, sched.heap_entries());
+  struct Driver {
+    explicit Driver(Scheduler& s) : sched{s} {}
+    void on_rto() { fired.push_back(sched.now()); }
+    Scheduler& sched;
+    sim::Timer<&Driver::on_rto> rto{sched, this};
+    int hops{0};
+    std::size_t max_heap{0};
+    std::vector<Time> fired;
+    void tick() {
+      rto.arm_after(Time::ms(200));
+      max_heap = std::max(max_heap, sched.heap_entries());
+      if (++hops < kCycles) sched.schedule_member_fire_after<&Driver::tick>(Time::us(1), this);
     }
-  }
-  // One live timer; everything else is cancelled debris awaiting compaction.
-  // Compaction runs when stale records outnumber live ones (with a small
-  // floor), so the all-time footprint stays a small constant, not O(cycles).
-  max_footprint = std::max(max_footprint, sched.heap_entries());
-  EXPECT_LT(max_footprint, 4096u);
-  EXPECT_EQ(sched.pending(), 1u);
-
-  // And time can still advance past all the churn debris.
-  sched.run_until(Time::sec(1));
+  };
+  Scheduler sched;
+  Driver d{sched};
+  sched.schedule_member_fire_at<&Driver::tick>(Time::zero(), &d);
+  sched.run_until(Time::sec(2));
+  EXPECT_LE(d.max_heap, 1u) << "the driver's hop is popped; only the timer's entry remains";
+  const Time last_arm = Time::us(kCycles - 1);
+  ASSERT_EQ(d.fired.size(), 1u);
+  EXPECT_EQ(d.fired[0], last_arm + Time::ms(200));
+  // The pending entry chases the deadline: it wakes idle at 200, 399.999,
+  // 599.998, 799.997, 999.996 and 1199.995 ms, each time re-pushing the
+  // deadline it finds, and the seventh entry runs the callback.
+  EXPECT_EQ(d.rto.idle_wakeups(), 6u);
+  EXPECT_EQ(sched.events_executed(), kCycles + 1 + d.rto.idle_wakeups());
   EXPECT_EQ(sched.pending(), 0u);
   EXPECT_EQ(sched.heap_entries(), 0u);
 }
@@ -257,9 +271,9 @@ TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
   }
 }
 
-/// A cancellable call, batch deliveries and a fire-and-forget call
-/// scheduled at one instant fire in schedule order — the FIFO tie-break holds
-/// across forms, and a same-time batch run stops at the interleaved call.
+/// A timer, batch deliveries and a fire-and-forget call scheduled at one
+/// instant fire in schedule order — the FIFO tie-break holds across forms,
+/// and a same-time batch run stops at the interleaved call.
 TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   Scheduler sched;
   std::vector<int> fired;
@@ -272,7 +286,8 @@ TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   p3.flow = 3;
 
   const Time at = Time::ms(5);
-  sched.schedule_call_at(at, log_label, &c0);      // cancellable call
+  LabelTimer timer{sched, &c0};
+  timer.arm(at);                                   // timer
   sched.schedule_deliver_batch_at(at, batch, p1);  // batch delivery
   sched.schedule_fire_at(at, log_label, &c2);      // fire-and-forget
   sched.schedule_deliver_batch_at(at, batch, p3);  // same batch, same time
@@ -284,8 +299,8 @@ TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
 /// the golden test above, but on a small time alphabet: massive equal-time
 /// ties force long same-tick runs inside each batch queue (the bulk-drain
 /// and fused-heap paths of dispatch_batch) while still interleaving the two
-/// batches with each other and with the calls. The firing order must match
-/// the independent (time, schedule-order) model event for event.
+/// batches with each other and with the timers and calls. The firing order
+/// must match the independent (time, schedule-order) model event for event.
 TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
   constexpr int kEvents = 20'000;
   Mix rng{0xba7c4ull};
@@ -305,8 +320,9 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
   std::vector<int> fired;
   fired.reserve(kEvents);
   std::vector<LabelCtx> ctxs;
+  std::deque<LabelTimer> timers;
   LabelSink sink_a, sink_b;
-  const auto expect = schedule_plan(sched, plan, fired, ctxs, sink_a, sink_b, rng);
+  const auto expect = schedule_plan(sched, plan, fired, ctxs, timers, sink_a, sink_b, rng);
   sched.run_until(Time::sec(10));
 
   ASSERT_EQ(fired.size(), expect.size());
@@ -321,15 +337,15 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
 /// the run; the batch scans must skip those (they walk the active list, not
 /// every batch ever registered) without changing the firing order. Each
 /// 10 ms phase registers 20 new batches (5,000 in all), gives each 1-4
-/// deliveries within its first 3 ms, and interleaves cancellable timers
-/// (some reaching many phases ahead, a third cancelled in the next phase)
-/// and fire-and-forget calls on a 100 us grid, so ties across every form
-/// are common. Everything a phase schedules is due at or after the phase
+/// deliveries within its first 3 ms, and interleaves timers (some reaching
+/// many phases ahead, a third disarmed in the next phase) and
+/// fire-and-forget calls on a 100 us grid, so ties across every form are
+/// common. Everything a phase schedules is due at or after the phase
 /// start, so the independent (time, schedule-order) model still applies.
 TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
   constexpr int kPhases = 250;
   constexpr int kBatchesPerPhase = 20;
-  constexpr int kCallsPerPhase = 30;
+  constexpr int kTimersPerPhase = 30;
   constexpr int kFiresPerPhase = 20;
   const Time phase_len = Time::ms(10);
   Mix rng{0x1d1eba7cull};
@@ -338,22 +354,21 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
   std::vector<int> fired;
   std::deque<LabelCtx> ctxs;  // stable addresses: the engine holds pointers
   std::deque<LabelSink> sinks;
+  std::deque<LabelTimer> timers;
   std::vector<RefEvent> model;
-  std::vector<std::pair<EventId, std::size_t>> last_phase_calls;  // id -> model idx
-  std::uint64_t cancels = 0;
+  std::vector<std::pair<LabelTimer*, std::size_t>> last_phase_timers;  // timer -> model idx
 
   for (int ph = 0; ph < kPhases; ++ph) {
     const Time t0 = phase_len * ph;
     ASSERT_EQ(sched.now(), t0);
     // RTO-style disarms: a third of the previous phase's timers still pending.
-    for (const auto& [id, idx] : last_phase_calls) {
+    for (const auto& [timer, idx] : last_phase_timers) {
       if (model[idx].at > t0 && rng.below(3) == 0) {
-        sched.cancel(id);
-        model[idx].cancelled = true;
-        ++cancels;
+        timer->disarm();
+        model[idx].disarmed = true;
       }
     }
-    last_phase_calls.clear();
+    last_phase_timers.clear();
 
     // This phase's short flows: a batch each and its time-monotonic appends.
     std::vector<Scheduler::BatchId> ids;
@@ -368,13 +383,13 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
       std::sort(times.begin(), times.end(), [](Time a, Time b) { return a > b; });
       appends.push_back(std::move(times));
     }
-    int calls = kCallsPerPhase;
+    int arms = kTimersPerPhase;
     int fires = kFiresPerPhase;
     std::size_t appends_left = 0;
     for (const auto& a : appends) appends_left += a.size();
-    while (calls + fires + appends_left > 0) {
+    while (arms + fires + appends_left > 0) {
       const int label = static_cast<int>(model.size());
-      const std::uint64_t timers_left = static_cast<std::uint64_t>(calls + fires);
+      const std::uint64_t timers_left = static_cast<std::uint64_t>(arms + fires);
       const std::uint64_t pick = rng.below(timers_left + appends_left);
       if (pick < appends_left) {
         std::size_t b = rng.below(kBatchesPerPhase);
@@ -389,14 +404,15 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
         continue;
       }
       ctxs.push_back({&fired, label});
-      const bool call = pick - appends_left < static_cast<std::uint64_t>(calls);
+      const bool arm = pick - appends_left < static_cast<std::uint64_t>(arms);
       // Timers on the same 100 us grid, a quarter reaching up to 50 phases out.
       const std::uint64_t reach = rng.below(4) == 0 ? 5000 : 30;
       const Time at = t0 + Time::us(static_cast<std::int64_t>(100 * rng.below(reach)));
-      if (call) {
-        --calls;
-        last_phase_calls.emplace_back(sched.schedule_call_at(at, log_label, &ctxs.back()),
-                                      model.size());
+      if (arm) {
+        --arms;
+        timers.emplace_back(sched, &ctxs.back());
+        timers.back().arm(at);
+        last_phase_timers.emplace_back(&timers.back(), model.size());
       } else {
         --fires;
         sched.schedule_fire_at(at, log_label, &ctxs.back());
@@ -413,7 +429,7 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
 
   std::vector<RefEvent> expect;
   for (const auto& e : model) {
-    if (!e.cancelled) expect.push_back(e);
+    if (!e.disarmed) expect.push_back(e);
   }
   std::stable_sort(expect.begin(), expect.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -427,10 +443,10 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
 
   // Cost: at most one phase's batches are ever listed, and every scan walks
   // only the list. A drain runs at most one recompute plus one bound loop
-  // per event it fires or stale entry it drops, so the visits stay within
-  // (2 x events + cancels) x kBatchesPerPhase — a scan over every registered
-  // batch would visit ~2,500 per scan on average here.
-  const std::uint64_t scans_bound = 2 * sched.events_executed() + cancels;
+  // per event it fires (a disarmed timer's idle wake-up included), so the
+  // visits stay within 2 x events x kBatchesPerPhase — a scan over every
+  // registered batch would visit ~2,500 per scan on average here.
+  const std::uint64_t scans_bound = 2 * sched.events_executed();
   EXPECT_LE(sched.batch_scan_visits(), scans_bound * kBatchesPerPhase);
   EXPECT_EQ(sinks.size(), static_cast<std::size_t>(kPhases * kBatchesPerPhase));
 }

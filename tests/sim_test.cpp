@@ -7,6 +7,7 @@
 
 #include "closure_events.hpp"
 #include "queue/drop_tail.hpp"
+#include "queue/token_bucket.hpp"
 #include "sim/demux.hpp"
 #include "sim/link.hpp"
 #include "sim/rate_trace.hpp"
@@ -39,22 +40,6 @@ TEST(Scheduler, FifoTieBreakAtEqualTimes) {
   }
   sched.run_until(Time::ms(10));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Scheduler, CancelPreventsExecution) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  bool fired = false;
-  const EventId id = ev.at(Time::ms(5), [&] { fired = true; });
-  sched.cancel(id);
-  sched.run_until(Time::ms(10));
-  EXPECT_FALSE(fired);
-}
-
-TEST(Scheduler, CancelUnknownIdIsNoop) {
-  Scheduler sched;
-  sched.cancel(99999);  // must not crash
-  EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Scheduler, EventsCanReschedule) {
@@ -92,100 +77,6 @@ TEST(Scheduler, EventAtExactBoundaryFires) {
   EXPECT_TRUE(fired);
 }
 
-TEST(Scheduler, CancelAfterFireIsNoop) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  int fired = 0;
-  const EventId id = ev.at(Time::ms(5), [&] { ++fired; });
-  sched.run_until(Time::ms(10));
-  EXPECT_EQ(fired, 1);
-  sched.cancel(id);  // stale id: must not crash or disturb anything
-  EXPECT_EQ(sched.pending(), 0u);
-  // A new event scheduled after the stale cancel still fires normally.
-  ev.at(Time::ms(20), [&] { ++fired; });
-  sched.cancel(id);  // stale id again, now that the slot may be reused
-  sched.run_until(Time::ms(30));
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Scheduler, IdsNeverAliasAfterSlabReuse) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  // Cycle the same slab slot many times; every id must be distinct and a
-  // stale id must never cancel the slot's current occupant.
-  std::vector<EventId> ids;
-  for (int i = 0; i < 100; ++i) {
-    const EventId id = ev.at(Time::ms(5), [] {});
-    sched.cancel(id);  // releases the slot for reuse
-    ids.push_back(id);
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    for (std::size_t j = i + 1; j < ids.size(); ++j) EXPECT_NE(ids[i], ids[j]);
-  }
-  bool fired = false;
-  ev.at(Time::ms(5), [&] { fired = true; });  // reuses a slot
-  for (const EventId stale : ids) sched.cancel(stale);
-  EXPECT_EQ(sched.pending(), 1u);
-  sched.run_until(Time::ms(10));
-  EXPECT_TRUE(fired);
-}
-
-TEST(Scheduler, PendingAccurateUnderCancelChurn) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  std::vector<EventId> ids;
-  int fired = 0;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(ev.at(Time::ms(100 + i), [&] { ++fired; }));
-  }
-  EXPECT_EQ(sched.pending(), 1000u);
-  for (std::size_t i = 0; i < ids.size(); i += 2) sched.cancel(ids[i]);
-  EXPECT_EQ(sched.pending(), 500u);
-  for (std::size_t i = 0; i < ids.size(); i += 2) sched.cancel(ids[i]);  // double-cancel: no-op
-  EXPECT_EQ(sched.pending(), 500u);
-  sched.run_until(Time::sec(5.0));
-  EXPECT_EQ(fired, 500);
-  EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_EQ(sched.events_executed(), 500u);
-}
-
-TEST(Scheduler, HeapCompactsUnderMassCancellation) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  // The retransmission-timer pathology: long-lived timers that are always
-  // disarmed before firing. Without compaction the heap grows unboundedly.
-  std::vector<EventId> ids;
-  for (int i = 0; i < 10000; ++i) {
-    ids.push_back(ev.at(Time::sec(100.0), [] {}));
-  }
-  EXPECT_EQ(sched.heap_entries(), 10000u);
-  for (const EventId id : ids) sched.cancel(id);
-  EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_LT(sched.heap_entries(), 64u) << "cancelled timers must not accumulate";
-  // The scheduler remains fully functional after compaction.
-  bool fired = false;
-  ev.at(Time::ms(1), [&] { fired = true; });
-  sched.run_until(Time::ms(2));
-  EXPECT_TRUE(fired);
-}
-
-TEST(Scheduler, FifoTieBreakSurvivesSlotReuse) {
-  Scheduler sched;
-  ClosureEvents ev{sched};
-  // Fire-and-reschedule so slots get reused out of their original order,
-  // then verify FIFO tie-break still follows schedule order, not slot order.
-  std::vector<int> order;
-  const EventId a = ev.at(Time::ms(1), [] {});
-  const EventId b = ev.at(Time::ms(1), [] {});
-  sched.cancel(b);
-  sched.cancel(a);  // free list now holds slots in reverse order
-  for (int i = 0; i < 4; ++i) {
-    ev.at(Time::ms(10), [&order, i] { order.push_back(i); });
-  }
-  sched.run_until(Time::ms(10));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 // --- link ---
 
 class CollectingSink : public PacketSink {
@@ -220,6 +111,27 @@ TEST(Link, SerializationPlusPropagationDelay) {
   sched.run_until(Time::sec(1.0));
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.arrival_times[0], Time::ms(11));
+}
+
+TEST(Link, ShaperWakeSendsWhenTheHeadBecomesEligible) {
+  // A 100 Mbit/s link behind an 8 Mbit/s token bucket with a one-packet
+  // burst: the first packet leaves at once, and each later one waits ~1 ms
+  // for tokens. The link's wake timer must send each exactly when the
+  // shaper releases it (its eligibility time is ceilinged by <= 2 ns).
+  Scheduler sched;
+  CollectingSink sink{sched};
+  Link link{sched, Rate::mbps(100), Time::ms(1),
+            std::make_unique<queue::TokenBucketShaper>(Rate::mbps(8), 1000, 1 << 20), sink};
+  for (int i = 0; i < 3; ++i) link.send(make_data(1, 1000));
+  sched.run_until(Time::sec(1.0));
+  ASSERT_EQ(sink.packets.size(), 3u);
+  EXPECT_EQ(sink.arrival_times[0], Time::us(1080));  // 80 us serialization + 1 ms
+  for (std::size_t i = 1; i < 3; ++i) {
+    const Time gap = sink.arrival_times[i] - sink.arrival_times[i - 1];
+    EXPECT_GE(gap, Time::ms(1));
+    EXPECT_LE(gap, Time::ms(1) + Time::ns(2));
+  }
+  EXPECT_EQ(link.timer_idle_wakeups(), 0u);  // each wake-up found its packet ready
 }
 
 TEST(Link, BackToBackPacketsSpacedBySerialization) {
