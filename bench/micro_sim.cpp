@@ -125,11 +125,11 @@ BENCHMARK(BM_SchedulerTimerChurn);
 // ----------------------------------------------------------------------
 // Headline scopes, each driving the scheduler through the forms the
 // simulator's own components use (schedule_member_fire, sim::Timer, the
-// delivery batches), so these numbers move when the engine moves:
+// packet pipes), so these numbers move when the engine moves:
 //   scheduler_chain        fire-and-forget self-chain (run_chain)
 //   scheduler_timer_churn  the chain plus RTO churn (run_chain, churn)
-//   sim_delivery           packet delivery chain through a SoA delivery
-//                          batch — the production Link propagation path
+//   sim_delivery           packet delivery chain through a pipe — the
+//                          production Link propagation path
 //   sim_timer_churn        RTO churn; the same driver as
 //                          scheduler_timer_churn, kept under its own scope
 //                          for BENCH_sim.json's history
@@ -141,19 +141,19 @@ constexpr int kShapeEvents = 2'000'000;
 struct ShapeCountSink : sim::PacketSink {
   std::uint64_t n{0};
   void deliver(const sim::Packet&) override { ++n; }
-  void deliver_batch(const sim::Packet* const*, std::size_t k) override { n += k; }
 };
 
-/// Delivery-only: a relay sink behind a delivery batch (the path Link's
-/// propagation pipe takes) that re-schedules each packet +1us. The whole chain drains inside bulk batch dispatches — one
-/// pop_next for the lot — instead of one heap round-trip per packet.
+/// Delivery-only: a relay sink behind a pipe (the path Link's propagation
+/// pipe takes) that re-schedules each packet +1us. Every delivery is one
+/// heap pop and one push: the relay's append refills the pipe the delivery
+/// just emptied, so the new front gets a fresh entry.
 struct ShapeRelay : sim::PacketSink {
   sim::Scheduler& sched;
-  sim::Scheduler::BatchId batch;
+  sim::Scheduler::PipeId pipe;
   int count{0};
-  explicit ShapeRelay(sim::Scheduler& s) : sched{s}, batch{s.register_delivery_batch(*this)} {}
+  explicit ShapeRelay(sim::Scheduler& s) : sched{s}, pipe{s.register_pipe(*this)} {}
   void deliver(const sim::Packet& p) override {
-    if (++count < kShapeEvents) sched.schedule_deliver_batch_after(Time::us(1), batch, p);
+    if (++count < kShapeEvents) sched.schedule_delivery_after(Time::us(1), pipe, p);
   }
 };
 
@@ -164,7 +164,7 @@ double run_sim_delivery(std::uint64_t& events) {
   proto.size_bytes = 1500;
   proto.payload_bytes = 1460;
   const auto t0 = std::chrono::steady_clock::now();
-  sched.schedule_deliver_batch_at(Time::zero(), relay.batch, proto);
+  sched.schedule_delivery_at(Time::zero(), relay.pipe, proto);
   sched.run_until(Time::sec(10.0));
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
   events = sched.events_executed();
@@ -182,19 +182,20 @@ double run_timer_churn(std::uint64_t& events) {
 struct ShapeMixedDriver {
   sim::Scheduler& sched;
   ShapeCountSink sink;
-  sim::Scheduler::BatchId batch;
+  sim::Scheduler::PipeId pipe;
   sim::Packet proto;
   int count{0};
   void on_rto() {}
   sim::Timer<&ShapeMixedDriver::on_rto> rto{sched, this};
   explicit ShapeMixedDriver(sim::Scheduler& s)
-      : sched{s}, batch{s.register_delivery_batch(sink)} {}
+      : sched{s}, pipe{s.register_pipe(sink)} {}
   void tick() {
     rto.arm_after(Time::ms(200));
     // A 10 ms flight time at one departure/us keeps ~10,000 deliveries in
-    // the air — parked in the SoA batch (the production Link path), not in
-    // the timer heap, so the heap holds only the chain and RTO timers.
-    sched.schedule_deliver_batch_after(Time::ms(10), batch, proto);
+    // the air — queued in the pipe (the production Link path), whose front
+    // is its one heap entry, so the heap holds the chain, the RTO timer and
+    // that entry.
+    sched.schedule_delivery_after(Time::ms(10), pipe, proto);
     if (++count < kShapeEvents) {
       sched.schedule_member_fire_after<&ShapeMixedDriver::tick>(Time::us(1), this);
     }

@@ -14,7 +14,7 @@ Link::Link(Scheduler& sched, Rate rate, Time prop_delay, std::unique_ptr<Qdisc> 
       rate_{rate},
       prop_delay_{prop_delay},
       qdisc_{std::move(qdisc)},
-      batch_{sched.register_delivery_batch(dst)},
+      pipe_{sched.register_pipe(dst)},
       wake_timer_{sched, this} {
   assert(rate_.to_bps() > 0.0);
   assert(qdisc_ != nullptr);
@@ -132,9 +132,8 @@ void Link::on_tx_complete(std::uint64_t packed) {
   if (tx_tap_) tx_tap_(pkt, sched_.now());
 
   // Propagation: the packet arrives at the destination prop_delay later.
-  // Ownership of the arena slot moves into the link's delivery batch — no
-  // copy, no per-packet scheduler entry.
-  sched_.schedule_deliver_batch_handle_after(prop_delay_, batch_, h);
+  // Ownership of the arena slot moves into the link's pipe — no copy.
+  sched_.schedule_delivery_handle_after(prop_delay_, pipe_, h);
 
   maybe_start_tx();
 }

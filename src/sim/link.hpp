@@ -92,10 +92,9 @@ class Link {
   Rate rate_;
   Time prop_delay_;
   std::unique_ptr<Qdisc> qdisc_;
-  /// The propagation pipe's SoA in-flight batch: arrival times are
-  /// tx-complete time + a fixed prop_delay_, hence monotonic — the batch's
-  /// append precondition.
-  Scheduler::BatchId batch_;
+  /// The propagation pipe: arrival times are tx-complete time + a fixed
+  /// prop_delay_, hence monotonic — the pipe's append precondition.
+  Scheduler::PipeId pipe_;
   bool busy_{false};
   /// Shaper wake-up: when the qdisc's head packet becomes eligible.
   Timer<&Link::maybe_start_tx> wake_timer_;
@@ -123,29 +122,23 @@ class Link {
 class DelayLine : public PacketSink {
  public:
   DelayLine(Scheduler& sched, Time delay, PacketSink& dst)
-      : sched_{sched}, delay_{delay}, batch_{sched.register_delivery_batch(dst)} {}
+      : sched_{sched}, delay_{delay}, pipe_{sched.register_pipe(dst)} {}
 
   void deliver(const Packet& pkt) override {
-    // The in-flight record rides in the delay line's SoA batch: no
-    // per-packet scheduler entry, and a same-time arrival run reaches the
-    // destination as one deliver_batch() call. Fixed delay + monotonic clock
-    // keeps the batch's append order time-sorted, as the batch requires.
-    sched_.schedule_deliver_batch_after(delay_, batch_, pkt);
-  }
-
-  void deliver_batch(const Packet* const* pkts, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) sched_.schedule_deliver_batch_after(delay_, batch_, *pkts[i]);
+    // The in-flight packet rides in the delay line's pipe. Fixed delay +
+    // monotonic clock keeps the pipe's append order time-sorted, as the pipe
+    // requires.
+    sched_.schedule_delivery_after(delay_, pipe_, pkt);
   }
 
   /// Re-points the downstream sink (used when wiring scenarios). Applies to
-  /// packets still in flight — the same fire-time binding the pre-batch
-  /// trampoline had.
-  void set_dst(PacketSink& dst) { sched_.rebind_delivery_batch(batch_, dst); }
+  /// packets still in flight: each goes to the sink bound when it arrives.
+  void set_dst(PacketSink& dst) { sched_.rebind_pipe(pipe_, dst); }
 
  private:
   Scheduler& sched_;
   Time delay_;
-  Scheduler::BatchId batch_;
+  Scheduler::PipeId pipe_;
 };
 
 /// Adapts a Link into a PacketSink so links can be chained behind

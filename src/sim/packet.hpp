@@ -78,11 +78,10 @@ class PacketSink {
   virtual ~PacketSink() = default;
   virtual void deliver(const Packet& pkt) = 0;
 
-  /// Bulk hook for a same-time delivery run: the scheduler hands over every
-  /// packet a delivery batch has due at one instant in one call, in
-  /// (time, seq) order. The default preserves per-packet semantics
-  /// exactly; sinks on hot paths override it to touch their state once per
-  /// run instead of once per packet.
+  /// Hands over `n` packets in order; the default delivers each in turn.
+  /// The scheduler never calls this (a pipe delivers one packet per event
+  /// through deliver()). It stays only because perfbench's TracedSink
+  /// overrides it; drop both together.
   virtual void deliver_batch(const Packet* const* pkts, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) deliver(*pkts[i]);
   }

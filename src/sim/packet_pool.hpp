@@ -2,9 +2,9 @@
 //
 // The event engine's delivery path (Link serialization, propagation,
 // DelayLine pipes) keeps one slab-resident copy of each packet per wire
-// traversal: the sender acquires a handle, the delivery batch (or Link's
-// tx-complete event) carries the 4-byte handle, and the scheduler hands
-// sinks a reference into the slab.
+// traversal: the sender acquires a handle, the pipe's in-flight record (or
+// Link's tx-complete event) carries the 4-byte handle, and the scheduler
+// hands sinks a reference into the slab.
 //
 // Storage is a std::deque so slots never move: a sink reading the delivered
 // packet may itself acquire new handles (an ACK turned around into a reverse

@@ -19,25 +19,25 @@
 //    cancelled, so there is no stale-entry bookkeeping; a Timer whose
 //    deadline only moves later keeps at most one entry there.
 //
-//  * Per-sink delivery batches. A component whose arrivals are
+//  * Pipes keep one heap entry. A component whose arrivals are
 //    time-monotonic — a Link's propagation pipe, a DelayLine — registers a
-//    batch and appends its in-flight packets to a struct-of-arrays queue
-//    (parallel arrival-time / seq / arena-handle vectors) instead of pushing
-//    one heap entry per packet. The queue *is* a sorted run, so pop_next()
-//    merges its front against the heap front by (time, seq) and, when the
-//    batch is globally earliest, dispatch_batch() drains every delivery up
-//    to the next non-batch event — same-time runs go to the sink as a
-//    single deliver_batch() call. Every delivery keeps its unique
-//    (time, seq) key, so the firing order is the one-entry-per-packet order.
+//    pipe: a FIFO of in-flight (time, seq, arena handle) records. Only the
+//    front record is on the heap. An append that makes the pipe non-empty
+//    pushes an entry for it; when that entry fires, the pipe pops the front,
+//    pushes an entry for the next front under that record's own seq, and
+//    delivers the packet. Every delivery keeps the unique (time, seq) key it
+//    drew at append time, so the firing order is the one-entry-per-packet
+//    order, and the heap holds one entry per busy pipe, not per packet.
 //
 // Lifetime: the scheduler holds raw context pointers, so every owner of a
-// pending entry — a fire-and-forget callback's context, a Timer, a delivery
-// batch's sink — must outlive the scheduler's run (or the run must end
+// pending entry — a fire-and-forget callback's context, a Timer, a pipe's
+// sink — must outlive the scheduler's run (or the run must end
 // before the entry is due). TcpSender::start's on_start_fire and every
 // Timer rely on this.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "sim/packet.hpp"
@@ -60,10 +60,15 @@ class Timer;  // sim/timer.hpp
 /// makes packet orderings — and therefore whole experiments — reproducible.
 class Scheduler {
  public:
+  Scheduler() { heap_.reserve(kHeapReserve); }
+  /// Not copyable or movable: pipes and pending entries point into it.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
   /// Current simulated time. Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// The packet arena holding in-flight batch deliveries (and, in Link,
+  /// The packet arena holding in-flight pipe deliveries (and, in Link,
   /// the packet currently serializing).
   [[nodiscard]] PacketPool& packets() { return pool_; }
   [[nodiscard]] const PacketPool& packets() const { return pool_; }
@@ -90,55 +95,45 @@ class Scheduler {
     schedule_member_fire_at<MemFn>(now_ + delay, obj);
   }
 
-  // ---- delivery batches ----
+  // ---- packet pipes ----
 
-  /// Identifies one per-sink in-flight batch (see the header comment).
-  using BatchId = std::uint32_t;
+  /// Identifies one packet pipe (see the header comment).
+  using PipeId = std::uint32_t;
 
-  /// Registers a struct-of-arrays in-flight batch delivering into `sink`.
-  /// One per monotonic producer (a Link's propagation pipe, a DelayLine).
-  /// Batches are never unregistered and their storage is kept for the whole
-  /// run, but an idle (empty) one costs nothing per event: the scheduler's
-  /// batch scans walk only the active list of non-empty batches.
-  [[nodiscard]] BatchId register_delivery_batch(PacketSink& sink);
+  /// Registers a pipe delivering into `sink`. One per monotonic producer (a
+  /// Link's propagation pipe, a DelayLine). Pipes are never unregistered
+  /// and their storage is kept for the whole run, but an empty one has no
+  /// heap entry and costs nothing per event.
+  [[nodiscard]] PipeId register_pipe(PacketSink& sink);
 
-  /// Re-points a batch at a different sink. Applies to everything still in
-  /// flight — the batch analogue of DelayLine::set_dst()'s fire-time
-  /// dst-read semantics.
-  void rebind_delivery_batch(BatchId id, PacketSink& sink);
+  /// Re-points a pipe at a different sink. Applies to everything still in
+  /// flight: each packet goes to the sink bound when it is delivered.
+  void rebind_pipe(PipeId id, PacketSink& sink);
 
   /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
-  /// batch `id`'s sink a reference to that copy at time `at`. The in-flight
-  /// record lives in the batch's parallel arrays, not in a heap entry.
-  /// Preconditions: at >= now(), and appends to one batch are time-monotonic
-  /// (at >= the batch's last queued arrival) — true for any fixed-delay pipe
-  /// fed by a monotonic clock, which is what Link and DelayLine are.
-  void schedule_deliver_batch_at(Time at, BatchId id, const Packet& pkt) {
-    schedule_deliver_batch_handle_at(at, id, pool_.acquire(pkt));
+  /// pipe `id`'s sink a reference to that copy at time `at`. Preconditions:
+  /// at >= now(), and appends to one pipe are time-monotonic (at >= the
+  /// pipe's last queued arrival) — true for any fixed-delay pipe fed by a
+  /// monotonic clock, which is what Link and DelayLine are.
+  void schedule_delivery_at(Time at, PipeId id, const Packet& pkt) {
+    schedule_delivery_handle_at(at, id, pool_.acquire(pkt));
   }
-  void schedule_deliver_batch_after(Time delay, BatchId id, const Packet& pkt) {
-    schedule_deliver_batch_at(now_ + delay, id, pkt);
+  void schedule_delivery_after(Time delay, PipeId id, const Packet& pkt) {
+    schedule_delivery_at(now_ + delay, id, pkt);
   }
   /// As above but transfers ownership of an already-acquired handle — the
   /// scheduler releases it after delivery. Used by Link to move the packet
   /// it serialized straight into propagation without another copy.
-  void schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool::Handle h);
-  void schedule_deliver_batch_handle_after(Time delay, BatchId id, PacketPool::Handle h) {
-    schedule_deliver_batch_handle_at(now_ + delay, id, h);
+  void schedule_delivery_handle_at(Time at, PipeId id, PacketPool::Handle h);
+  void schedule_delivery_handle_after(Time delay, PipeId id, PacketPool::Handle h) {
+    schedule_delivery_handle_at(now_ + delay, id, h);
   }
 
-  /// Deliveries currently queued in batch `id` (tests / introspection).
-  [[nodiscard]] std::size_t batch_in_flight(BatchId id) const {
-    const DeliveryBatch& q = batches_[id];
-    return q.at.size() - q.head;
+  /// Deliveries currently queued in pipe `id` (tests / introspection).
+  [[nodiscard]] std::size_t pipe_in_flight(PipeId id) const {
+    const Pipe& p = pipes_[id];
+    return p.records.size() - p.head;
   }
-  /// Length of the active-batch list: every non-empty batch, plus any
-  /// emptied since the last batch-minimum recompute (tests / introspection).
-  [[nodiscard]] std::size_t active_batches() const { return active_.size(); }
-  /// Active-list entries visited by the batch-minimum recompute and the
-  /// drain's bound loop since construction (tests / introspection: the
-  /// per-scan cost is the active list, not every batch ever registered).
-  [[nodiscard]] std::uint64_t batch_scan_visits() const { return batch_scan_visits_; }
 
   /// Runs events until the queue is empty or simulated time would exceed
   /// `end`; leaves now() == end (events exactly at `end` do fire).
@@ -146,10 +141,13 @@ class Scheduler {
 
   /// Number of events executed since construction (for perf benches).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  /// Number of pending events: heap entries plus queued batch deliveries.
-  [[nodiscard]] std::size_t pending() const { return heap_.size() + batch_live_; }
+  /// Number of pending events: scheduled callbacks plus queued pipe
+  /// deliveries (a busy pipe's heap entry is its front delivery, counted
+  /// once). Walks every pipe; for tests and introspection.
+  [[nodiscard]] std::size_t pending() const;
   /// Heap entries: timed callbacks, including Timer entries that will fire
-  /// idle (tests pin that this tracks the live timer count).
+  /// idle, plus one per non-empty pipe (tests pin that this tracks the live
+  /// timer and busy pipe count).
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
@@ -184,75 +182,48 @@ class Scheduler {
   };
   static constexpr Later later{};
 
+  /// Heap entries reserved at construction: just over 64 KiB. Not for
+  /// speed: releasing a block of at least 64 KiB at teardown makes glibc
+  /// consolidate the small chunks a scenario's flows have just freed there,
+  /// instead of inside the next scenario's timed set-up (the hazard DESIGN.md
+  /// "Receiver" describes; perfbench's applimited_mix set-up shows it after
+  /// every short-flow row).
+  static constexpr std::size_t kHeapReserve = 64 * 1024 / sizeof(Entry) + 1;
+
   /// Pushes an entry onto the heap.
   void push_heap_entry(const Entry& e);
 
-  /// Finds the globally-earliest event — heap and delivery-batch
-  /// fronts both considered. Returns false if there is none at or before
-  /// `limit`. When a heap entry wins it is popped into `out` and `batch` is
-  /// kNoBatch; when a delivery batch's front wins nothing is popped and
-  /// `batch` names it, for dispatch_batch() to drain.
-  bool pop_next(Entry& out, std::uint32_t& batch, Time limit);
-  /// Pops the front heap entry (the earliest).
-  void pop_front();
-  /// Executes one popped entry: advances the clock and calls it.
-  void fire(const Entry& e);
+  // ---- pipe internals ----
 
-  // ---- delivery-batch internals ----
-
-  /// One per-sink struct-of-arrays in-flight queue. The parallel vectors are
-  /// a sorted-by-(at, seq) run: appends are time-monotonic (a precondition
-  /// of schedule_deliver_batch_*) and seq is globally increasing, so
-  /// [head, size) is always in firing order.
-  struct DeliveryBatch {
-    PacketSink* sink{nullptr};
-    std::vector<Time> at;
-    std::vector<std::uint64_t> seq;
-    std::vector<PacketPool::Handle> handle;
+  /// One pipe: its in-flight records in firing order. Appends are
+  /// time-monotonic (a precondition of schedule_delivery_*) and seq is
+  /// globally increasing, so [head, size) is sorted by (at, seq). Pipes live
+  /// in a deque, so the heap entry's context pointer survives later
+  /// registrations.
+  struct Pipe {
+    struct Record {
+      Time at;
+      std::uint64_t seq;
+      PacketPool::Handle handle;
+    };
+    Scheduler* sched;
+    PacketSink* sink;
+    std::vector<Record> records;
     std::size_t head{0};
-    bool listed{false};  // present in active_
   };
-  static constexpr std::uint32_t kNoBatch = 0xffff'ffffu;
 
-  /// Recomputes batch_min_ (the id of the batch with the earliest front, by
-  /// (at, seq); kNoBatch when all are empty) and swap-removes the batches it
-  /// finds empty from active_. O(active batches); called only when the
-  /// current minimum's front changes, not per append.
-  void recompute_batch_min();
-#ifndef NDEBUG
-  /// Debug builds check the active-batch index after every recompute: each
-  /// non-empty batch is flagged and listed exactly once, no id is listed
-  /// twice, flags match the list, and batch_min_ equals a full scan.
-  void audit_active_batches() const;
-#endif
-  /// Drains batch `id` up to (exclusive) the earliest non-batch event or
-  /// `limit`, delivering same-time runs through one deliver_batch() call.
-  void dispatch_batch(std::uint32_t id, Time limit);
+  /// Pushes the heap entry for `p`'s front record, under the record's key.
+  void push_front_entry(Pipe& p);
+  /// The pipe entry's callback (ctx = the Pipe, arg = the entry's seq):
+  /// pops the front, pushes the next front's entry, delivers the packet.
+  static void on_pipe_front(void* pipe, std::uint64_t seq);
 
   Time now_{Time::zero()};
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   std::vector<Entry> heap_;
   PacketPool pool_;
-
-  // Delivery batches. batch_live_ counts queued batch deliveries; batch_min_
-  // caches which batch currently owns the earliest front so pop_next pays
-  // O(1) on the no-batch/quiet path.
-  // active_ lists every non-empty batch (in no particular order: ties break
-  // on the unique seq, so scan order never changes a result). An append to
-  // an unlisted batch adds it; recompute_batch_min() lazily swap-removes the
-  // ones it finds drained, so a short flow's batch that goes idle forever
-  // drops out of every later scan.
-  std::vector<DeliveryBatch> batches_;
-  std::vector<std::uint32_t> active_;
-  std::size_t batch_live_{0};
-  std::uint32_t batch_min_{kNoBatch};
-  std::uint64_t batch_scan_visits_{0};
-  // Scratch for dispatch_batch: the run's handles and packet pointers are
-  // copied out before delivery so a sink that appends (and reallocates the
-  // SoA vectors) mid-callback cannot invalidate what we are iterating.
-  std::vector<PacketPool::Handle> drain_handles_;
-  std::vector<const Packet*> drain_pkts_;
+  std::deque<Pipe> pipes_;
 };
 
 }  // namespace ccc::sim

@@ -581,9 +581,10 @@ TEST(TimerHeap, TracksLiveTimersOnAppLimitedDumbbell) {
   // fig5's shape: Cubic behind rate-limited apps through a quarter-BDP
   // drop-tail buffer. Every ACK pushes an RTO deadline out; with timers
   // that own their deadlines that moves no heap entry, so the heap holds
-  // at most one entry per live timer or event source (10 of 14 at most
-  // here). Cancelling and re-pushing the RTO per ACK kept up to 68 entries
-  // in this run. Sampled every simulated 100 ms.
+  // at most one entry per live timer or event source, plus one per
+  // non-empty packet pipe, whose front delivery is its only entry.
+  // Cancelling and re-pushing the RTO per ACK kept up to 68 entries in this
+  // run. Sampled every simulated 100 ms.
   auto cfg = small_net();
   cfg.buffer_bdp_multiple = 0.25;
   core::DumbbellScenario net{cfg};
@@ -591,9 +592,11 @@ TEST(TimerHeap, TracksLiveTimersOnAppLimitedDumbbell) {
     net.add_flow(core::make_cca_factory("cubic")(),
                  std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(mbps)));
   }
-  // Per flow: RTO, pacing and delayed-ACK timers plus the app's tick; plus
-  // the bottleneck's shaper wake and its transmit completion.
-  const std::size_t live = 4 * net.flow_count() + 2;
+  // Timers: per flow, RTO, pacing and delayed-ACK timers plus the app's
+  // tick; plus the bottleneck's shaper wake and its transmit completion.
+  // Pipes: each flow's reverse DelayLine plus the bottleneck's propagation
+  // pipe.
+  const std::size_t live = (4 * net.flow_count() + 2) + (net.flow_count() + 1);
   std::size_t max_heap = 0;
   for (int step = 1; step <= 80; ++step) {
     net.run_until(Time::ms(100 * step));

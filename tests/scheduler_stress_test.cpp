@@ -1,13 +1,13 @@
 // Stress and golden-order tests for the event engine (typed events, the
-// timer heap, per-sink delivery batches, packet arena).
+// timer heap, packet pipes, packet arena).
 //
 // The engine's contract is exactly a plain heap scheduler's contract:
-// events fire in ascending (time, schedule-order) whether they pass through
-// the heap or a delivery batch. The golden tests below check large
+// events fire in ascending (time, schedule-order) whether they are
+// callbacks or pipe deliveries. The golden tests below check large
 // adversarial workloads against an independent reference model of that
 // contract — NOT against the engine's own bookkeeping — so any internal
-// reordering (a batch drained past a timer, a disarmed timer run, a tie
-// broken by address) fails loudly. A sim::Timer counts as scheduled when it
+// reordering (a pipe delivery fired past a timer, a disarmed timer run, a
+// tie broken by address) fails loudly. A sim::Timer counts as scheduled when it
 // is armed: its callback keeps the tie-break position of that arm.
 #include <gtest/gtest.h>
 
@@ -61,19 +61,19 @@ void log_label(void* c, std::uint64_t) { static_cast<LabelCtx*>(c)->fire(); }
 using LabelTimer = sim::Timer<&LabelCtx::fire>;
 
 /// The forms the simulator's components schedule with: an armed sim::Timer,
-/// a fire-and-forget call, and appends to two delivery batches.
-enum class Kind { kTimer, kFire, kBatchA, kBatchB };
+/// a fire-and-forget call, and appends to two pipes.
+enum class Kind { kTimer, kFire, kPipeA, kPipeB };
 struct Planned {
   Time at;
   Kind kind;
 };
 
-/// Delivery-batch appends must be time-monotonic per batch, so each batch's
-/// drawn times are re-dealt in ascending order over that batch's schedule
+/// Pipe appends must be time-monotonic per pipe, so each pipe's drawn
+/// times are re-dealt in ascending order over that pipe's schedule
 /// positions: the same multiset of times — and so the same ties with every
 /// other kind — in an order a fixed-delay pipe could produce.
-void make_batch_appends_monotonic(std::vector<Planned>& plan) {
-  for (const Kind k : {Kind::kBatchA, Kind::kBatchB}) {
+void make_pipe_appends_monotonic(std::vector<Planned>& plan) {
+  for (const Kind k : {Kind::kPipeA, Kind::kPipeB}) {
     std::vector<Time> times;
     for (const Planned& p : plan) {
       if (p.kind == k) times.push_back(p.at);
@@ -95,8 +95,8 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
                                     LabelSink& sink_b, Mix& rng) {
   sink_a.log = &fired;
   sink_b.log = &fired;
-  const Scheduler::BatchId batch_a = sched.register_delivery_batch(sink_a);
-  const Scheduler::BatchId batch_b = sched.register_delivery_batch(sink_b);
+  const Scheduler::PipeId pipe_a = sched.register_pipe(sink_a);
+  const Scheduler::PipeId pipe_b = sched.register_pipe(sink_b);
   ctxs.resize(plan.size());
   std::vector<RefEvent> model;
   model.reserve(plan.size());
@@ -114,8 +114,8 @@ std::vector<RefEvent> schedule_plan(Scheduler& sched, const std::vector<Planned>
         armed.emplace_back(&timers.back(), i);
         break;
       case Kind::kFire: sched.schedule_fire_at(at, log_label, &ctxs[i]); break;
-      case Kind::kBatchA: sched.schedule_deliver_batch_at(at, batch_a, p); break;
-      case Kind::kBatchB: sched.schedule_deliver_batch_at(at, batch_b, p); break;
+      case Kind::kPipeA: sched.schedule_delivery_at(at, pipe_a, p); break;
+      case Kind::kPipeB: sched.schedule_delivery_at(at, pipe_b, p); break;
     }
     model.push_back({at, i, label});
   }
@@ -157,7 +157,7 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
     }
     p.kind = static_cast<Kind>(rng.below(4));
   }
-  make_batch_appends_monotonic(plan);
+  make_pipe_appends_monotonic(plan);
 
   Scheduler sched;
   std::vector<int> fired;  // labels in actual firing order
@@ -271,15 +271,15 @@ TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
   }
 }
 
-/// A timer, batch deliveries and a fire-and-forget call scheduled at one
+/// A timer, pipe deliveries and a fire-and-forget call scheduled at one
 /// instant fire in schedule order — the FIFO tie-break holds across forms,
-/// and a same-time batch run stops at the interleaved call.
+/// and a pipe's second same-time delivery waits for the interleaved call.
 TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   Scheduler sched;
   std::vector<int> fired;
   LabelSink sink;
   sink.log = &fired;
-  const Scheduler::BatchId batch = sched.register_delivery_batch(sink);
+  const Scheduler::PipeId pipe = sched.register_pipe(sink);
   LabelCtx c0{&fired, 0}, c2{&fired, 2};
   sim::Packet p1, p3;
   p1.flow = 1;
@@ -287,20 +287,20 @@ TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
 
   const Time at = Time::ms(5);
   LabelTimer timer{sched, &c0};
-  timer.arm(at);                                   // timer
-  sched.schedule_deliver_batch_at(at, batch, p1);  // batch delivery
-  sched.schedule_fire_at(at, log_label, &c2);      // fire-and-forget
-  sched.schedule_deliver_batch_at(at, batch, p3);  // same batch, same time
+  timer.arm(at);                              // timer
+  sched.schedule_delivery_at(at, pipe, p1);   // pipe delivery
+  sched.schedule_fire_at(at, log_label, &c2);  // fire-and-forget
+  sched.schedule_delivery_at(at, pipe, p3);   // same pipe, same time
   sched.run_until(Time::ms(10));
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
-/// Golden firing order through the bulk batch drain. The same four forms as
-/// the golden test above, but on a small time alphabet: massive equal-time
-/// ties force long same-tick runs inside each batch queue (the bulk-drain
-/// and fused-heap paths of dispatch_batch) while still interleaving the two
-/// batches with each other and with the timers and calls. The firing order
-/// must match the independent (time, schedule-order) model event for event.
+/// Golden firing order with dense pipe ties. The same four forms as the
+/// golden test above, but on a small time alphabet: massive equal-time ties
+/// put long same-time runs inside each pipe, whose records reach the heap
+/// one front at a time, while still interleaving the two pipes with each
+/// other and with the timers and calls. The firing order must match the
+/// independent (time, schedule-order) model event for event.
 TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
   constexpr int kEvents = 20'000;
   Mix rng{0xba7c4ull};
@@ -314,7 +314,7 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
     }
     p.kind = static_cast<Kind>(rng.below(4));
   }
-  make_batch_appends_monotonic(plan);
+  make_pipe_appends_monotonic(plan);
 
   Scheduler sched;
   std::vector<int> fired;
@@ -332,19 +332,18 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
   EXPECT_EQ(sched.pending(), 0u);
 }
 
-/// Golden firing order with thousands of idle delivery batches. Short flows
-/// each register a batch, use it briefly and leave it idle for the rest of
-/// the run; the batch scans must skip those (they walk the active list, not
-/// every batch ever registered) without changing the firing order. Each
-/// 10 ms phase registers 20 new batches (5,000 in all), gives each 1-4
-/// deliveries within its first 3 ms, and interleaves timers (some reaching
-/// many phases ahead, a third disarmed in the next phase) and
+/// Golden firing order with thousands of idle pipes. Short flows each
+/// register a pipe, use it briefly and leave it idle for the rest of the
+/// run; an idle pipe must cost no heap entry and must not change the firing
+/// order. Each 10 ms phase registers 20 new pipes (5,000 in all), gives
+/// each 1-4 deliveries within its first 3 ms, and interleaves timers (some
+/// reaching many phases ahead, a third disarmed in the next phase) and
 /// fire-and-forget calls on a 100 us grid, so ties across every form are
 /// common. Everything a phase schedules is due at or after the phase
 /// start, so the independent (time, schedule-order) model still applies.
 TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
   constexpr int kPhases = 250;
-  constexpr int kBatchesPerPhase = 20;
+  constexpr int kPipesPerPhase = 20;
   constexpr int kTimersPerPhase = 30;
   constexpr int kFiresPerPhase = 20;
   const Time phase_len = Time::ms(10);
@@ -357,6 +356,9 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
   std::deque<LabelTimer> timers;
   std::vector<RefEvent> model;
   std::vector<std::pair<LabelTimer*, std::size_t>> last_phase_timers;  // timer -> model idx
+  // Due times of every armed timer and fire-and-forget call: each holds
+  // exactly one heap entry until it comes due, disarmed timers included.
+  std::vector<Time> callback_due;
 
   for (int ph = 0; ph < kPhases; ++ph) {
     const Time t0 = phase_len * ph;
@@ -370,13 +372,13 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
     }
     last_phase_timers.clear();
 
-    // This phase's short flows: a batch each and its time-monotonic appends.
-    std::vector<Scheduler::BatchId> ids;
+    // This phase's short flows: a pipe each and its time-monotonic appends.
+    std::vector<Scheduler::PipeId> ids;
     std::vector<std::vector<Time>> appends;
-    for (int b = 0; b < kBatchesPerPhase; ++b) {
+    for (int b = 0; b < kPipesPerPhase; ++b) {
       sinks.emplace_back();
       sinks.back().log = &fired;
-      ids.push_back(sched.register_delivery_batch(sinks.back()));
+      ids.push_back(sched.register_pipe(sinks.back()));
       std::vector<Time> times(1 + rng.below(4));
       for (Time& t : times) t = t0 + Time::us(static_cast<std::int64_t>(100 * rng.below(30)));
       // Descending, so pop_back() yields the appends in time order.
@@ -392,14 +394,14 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
       const std::uint64_t timers_left = static_cast<std::uint64_t>(arms + fires);
       const std::uint64_t pick = rng.below(timers_left + appends_left);
       if (pick < appends_left) {
-        std::size_t b = rng.below(kBatchesPerPhase);
-        while (appends[b].empty()) b = (b + 1) % kBatchesPerPhase;
+        std::size_t b = rng.below(kPipesPerPhase);
+        while (appends[b].empty()) b = (b + 1) % kPipesPerPhase;
         const Time at = appends[b].back();
         appends[b].pop_back();
         --appends_left;
         sim::Packet p;
         p.flow = static_cast<sim::FlowId>(label);
-        sched.schedule_deliver_batch_at(at, ids[b], p);
+        sched.schedule_delivery_at(at, ids[b], p);
         model.push_back({at, model.size(), label});
         continue;
       }
@@ -417,13 +419,17 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
         --fires;
         sched.schedule_fire_at(at, log_label, &ctxs.back());
       }
+      callback_due.push_back(at);
       model.push_back({at, model.size(), label});
     }
 
     sched.run_until(t0 + phase_len);
-    // Every delivery of this phase has fired, and the final batch-minimum
-    // recompute dropped the drained batches: idle batches stay unlisted.
-    ASSERT_EQ(sched.active_batches(), 0u) << "phase " << ph;
+    // Every delivery of this phase has fired, so every pipe is empty: the
+    // heap holds only the timer and fire-and-forget entries not yet due,
+    // and the thousands of idle pipes hold none.
+    const auto not_due = static_cast<std::size_t>(std::count_if(
+        callback_due.begin(), callback_due.end(), [&](Time at) { return at > sched.now(); }));
+    ASSERT_EQ(sched.heap_entries(), not_due) << "phase " << ph;
   }
   sched.run_until(phase_len * (kPhases + 60));
 
@@ -440,43 +446,37 @@ TEST(SchedulerStress, GoldenOrderWithThousandsOfIdleBatches) {
     ASSERT_EQ(fired[i], expect[i].label) << "divergence at position " << i;
   }
   EXPECT_EQ(sched.pending(), 0u);
-
-  // Cost: at most one phase's batches are ever listed, and every scan walks
-  // only the list. A drain runs at most one recompute plus one bound loop
-  // per event it fires (a disarmed timer's idle wake-up included), so the
-  // visits stay within 2 x events x kBatchesPerPhase — a scan over every
-  // registered batch would visit ~2,500 per scan on average here.
-  const std::uint64_t scans_bound = 2 * sched.events_executed();
-  EXPECT_LE(sched.batch_scan_visits(), scans_bound * kBatchesPerPhase);
-  EXPECT_EQ(sinks.size(), static_cast<std::size_t>(kPhases * kBatchesPerPhase));
+  EXPECT_EQ(sinks.size(), static_cast<std::size_t>(kPhases * kPipesPerPhase));
 }
 
-/// The batch drain returns arena handles as it delivers, not at tick end:
-/// steady-state relay traffic through a registered batch must keep pool
-/// capacity at the in-flight high-water mark (two ping-ponging packets plus
-/// their same-tick reschedules), not grow with the hop count.
+/// A pipe returns each arena handle right after its delivery, not at tick
+/// end: steady-state relay traffic through a pipe must keep pool capacity
+/// at the in-flight high-water mark (two ping-ponging packets plus a
+/// same-tick reschedule), not grow with the hop count.
 TEST(SchedulerStress, BatchDrainRecyclesArenaSlotsWithinTick) {
   Scheduler sched;
-  struct BatchRelay : sim::PacketSink {
+  struct PipeRelay : sim::PacketSink {
     Scheduler* sched{nullptr};
-    Scheduler::BatchId batch{0};
+    Scheduler::PipeId pipe{0};
     int hops{0};
     void deliver(const sim::Packet& p) override {
-      if (++hops < 50'000) sched->schedule_deliver_batch_after(Time::us(7), batch, p);
+      if (++hops < 50'000) sched->schedule_delivery_after(Time::us(7), pipe, p);
     }
   } relay;
   relay.sched = &sched;
-  relay.batch = sched.register_delivery_batch(relay);
+  relay.pipe = sched.register_pipe(relay);
   sim::Packet seed;
   seed.flow = 9;
-  // Both packets land on the same batch tick every hop, so every drain is
-  // the run-of-2 bulk path: 2 handles held during delivery, 2 acquired by
-  // the reschedules. Capacity beyond 4 means a handle out-lived its drain.
-  sched.schedule_deliver_batch_at(Time::zero(), relay.batch, seed);
-  sched.schedule_deliver_batch_at(Time::zero(), relay.batch, seed);
+  // Both packets land on the same tick every hop. Each delivery holds its
+  // own handle while the relay acquires one for the reschedule, so 3 slots
+  // are live at most; the bound of 4 also admits a drain that held both
+  // same-tick handles at once. Capacity beyond 4 means a handle outlived
+  // its delivery.
+  sched.schedule_delivery_at(Time::zero(), relay.pipe, seed);
+  sched.schedule_delivery_at(Time::zero(), relay.pipe, seed);
   sched.run_until(Time::sec(1));
   EXPECT_EQ(sched.packets().live(), 0u);
-  EXPECT_EQ(sched.batch_in_flight(relay.batch), 0u);
+  EXPECT_EQ(sched.pipe_in_flight(relay.pipe), 0u);
   EXPECT_LE(sched.packets().capacity(), 4u);
 }
 

@@ -101,6 +101,25 @@ Packet make_data(FlowId flow, ByteCount size) {
   return p;
 }
 
+TEST(Scheduler, NonEmptyPipeHoldsOneHeapEntry) {
+  // Only a pipe's front delivery is on the heap, however many packets are
+  // in flight behind it; a drained pipe holds no entry at all.
+  Scheduler sched;
+  CollectingSink sink{sched};
+  const Scheduler::PipeId pipe = sched.register_pipe(sink);
+  for (int i = 1; i <= 1000; ++i) sched.schedule_delivery_at(Time::ms(i), pipe, make_data(1, 100));
+  EXPECT_EQ(sched.heap_entries(), 1u);
+  EXPECT_EQ(sched.pending(), 1000u);
+  sched.run_until(Time::ms(500));
+  EXPECT_EQ(sink.packets.size(), 500u);
+  EXPECT_EQ(sched.pipe_in_flight(pipe), 500u);
+  EXPECT_EQ(sched.heap_entries(), 1u);
+  sched.run_until(Time::sec(2.0));
+  EXPECT_EQ(sink.packets.size(), 1000u);
+  EXPECT_EQ(sched.heap_entries(), 0u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 TEST(Link, SerializationPlusPropagationDelay) {
   Scheduler sched;
   CollectingSink sink{sched};
@@ -239,7 +258,7 @@ TEST(Link, PeriodicStallScheduleDoesNotPhaseLock) {
 }
 
 TEST(Link, DenseMidFlightRateChangesKeepDeliveriesMonotonic) {
-  // Link and DelayLine feed the scheduler's delivery batches, whose appends
+  // Link and DelayLine feed the scheduler's packet pipes, whose appends
   // must be time-monotonic. A set_rate that lands mid-serialization re-plans
   // the completion — earlier when the rate rises, later when it falls — so
   // drive hundreds of such re-plans per packet batch, in both directions,
@@ -312,6 +331,36 @@ TEST(DelayLine, AddsFixedDelay) {
   sched.run_until(Time::sec(1.0));
   ASSERT_EQ(sink.arrival_times.size(), 1u);
   EXPECT_EQ(sink.arrival_times[0], Time::ms(10));
+}
+
+TEST(DelayLine, SetDstRedirectsPacketsInFlight) {
+  // TcpFlow wires its reverse line to the sender after construction, so a
+  // rebind must reach packets already in the pipe, not only later sends.
+  // Ten packets leave 1 ms apart; the five still in flight at 9.5 ms go to
+  // the new sink, in order, as do two sent after the rebind.
+  Scheduler sched;
+  ClosureEvents ev{sched};
+  CollectingSink old_sink{sched};
+  CollectingSink new_sink{sched};
+  DelayLine line{sched, Time::ms(5), old_sink};
+  for (int i = 0; i < 10; ++i) {
+    ev.at(Time::ms(i), [&line, i] { line.deliver(make_data(static_cast<FlowId>(i + 1), 100)); });
+  }
+  ev.at(Time::us(9500), [&] { line.set_dst(new_sink); });
+  for (int i = 10; i < 12; ++i) {
+    ev.at(Time::ms(i), [&line, i] { line.deliver(make_data(static_cast<FlowId>(i + 1), 100)); });
+  }
+  sched.run_until(Time::sec(1.0));
+  ASSERT_EQ(old_sink.packets.size(), 5u);
+  ASSERT_EQ(new_sink.packets.size(), 7u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(old_sink.packets[i].flow, static_cast<FlowId>(i + 1));
+    EXPECT_EQ(old_sink.arrival_times[i], Time::ms(static_cast<std::int64_t>(i) + 5));
+  }
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(new_sink.packets[i].flow, static_cast<FlowId>(i + 6));
+    EXPECT_EQ(new_sink.arrival_times[i], Time::ms(static_cast<std::int64_t>(i) + 10));
+  }
 }
 
 TEST(Demux, RoutesByFlowId) {
