@@ -12,8 +12,7 @@
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the event engine's suites,
-#          whose heap and active-batch-list index arithmetic
-#          fails the same way, and the transport suites — flow, CCA, Nimbus
+#          whose heap index arithmetic fails the same way, and the transport suites — flow, CCA, Nimbus
 #          and util — whose SACK-scoreboard cursors, reassembly buffer and
 #          windowed min/max deques do too — and the `queue` suites: the
 #          qdisc unit tests, the every-qdisc property sweep, HFQ and the
@@ -23,10 +22,10 @@
 #   debug  -DCMAKE_BUILD_TYPE=Debug (asserts on, no sanitizer)
 #          ctest -L "sim|transport|queue"
 #          (tsan and asan build RelWithDebInfo, i.e. -DNDEBUG, so only this
-#          job runs the Debug-only checks: the scheduler's active-batch
-#          audit, sim::Timer's callback-runs-at-its-deadline assert, the
-#          sender's SACK-scoreboard audit on every ACK, and the scoreboard
-#          lookup oracle)
+#          job runs the Debug-only checks: the scheduler's pipe-front and
+#          no-re-entry asserts, sim::Timer's callback-runs-at-its-deadline
+#          assert, the sender's SACK-scoreboard audit on every ACK, and the
+#          scoreboard lookup and scan-cursor oracles)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|debug|all]   (default: all)
 # Build trees land in build-tsan/, build-asan/ and build-debug/ next to

@@ -194,6 +194,16 @@ std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_
   return it;
 }
 
+std::deque<TcpSender::Segment>::iterator TcpSender::cursor_segment(ScanCursor& cursor) {
+  cursor.index = std::max(cursor.index, popped_);
+  assert(cursor.index - popped_ <= static_cast<std::int64_t>(segments_.size()));
+  const auto it = segments_.begin() + (cursor.index - popped_);
+  assert(it == std::partition_point(segments_.begin(), segments_.end(),
+                                    [&cursor](const Segment& s) { return s.seq < cursor.seq; }) &&
+         "a scan cursor must land where a lookup of its sequence number would");
+  return it;
+}
+
 ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
   if (ack.n_sack == 0) return 0;
   ByteCount newly = 0;
@@ -218,13 +228,13 @@ ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
 
   // RFC 6675-style loss inference: an unsacked segment with at least
   // (dupthresh) segments' worth of SACKed data above it is lost. Everything
-  // below loss_scan_seq_ was settled by an earlier scan.
+  // below loss_scan_ was settled by an earlier scan.
   const std::int64_t lost_edge =
       high_sacked_ - static_cast<std::int64_t>(cfg_.dupack_threshold - 1) * cfg_.mss;
-  for (auto it = first_segment_at(loss_scan_seq_);
+  for (auto it = cursor_segment(loss_scan_);
        it != segments_.end() && it->seq + it->len <= lost_edge; ++it) {
     Segment& seg = *it;
-    loss_scan_seq_ = seg.seq + seg.len;
+    loss_scan_.pass(seg);
     if (seg.sacked || seg.lost) continue;
     seg.lost = true;
     if (!seg.retx_queued) lost_bytes_ += seg.len;
@@ -240,10 +250,10 @@ ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
 void TcpSender::maybe_retransmit_holes() {
   if (!in_recovery_) return;
   const ByteCount wnd = send_window();
-  // Segments below hole_scan_seq_ are sacked or already repaired; the
-  // cursor advances over the leading run of such segments this scan meets.
+  // Segments below hole_scan_ are sacked or already repaired; the cursor
+  // advances over the leading run of such segments this scan meets.
   bool leading = true;
-  for (auto it = first_segment_at(hole_scan_seq_); it != segments_.end(); ++it) {
+  for (auto it = cursor_segment(hole_scan_); it != segments_.end(); ++it) {
     Segment& seg = *it;
     const bool is_head = seg.seq == snd_una_;
     if (seg.seq + seg.len > high_sacked_ && !is_head) break;  // holes live below high_sacked
@@ -260,7 +270,7 @@ void TcpSender::maybe_retransmit_holes() {
     if (!seg.sacked && !seg.retx_queued) {
       leading = false;
     } else if (leading) {
-      hole_scan_seq_ = seg.seq + seg.len;
+      hole_scan_.pass(seg);
     }
   }
 }
@@ -269,14 +279,22 @@ void TcpSender::audit_scoreboard() const {
 #ifndef NDEBUG
   ByteCount sacked = 0;
   ByteCount lost = 0;
+  std::int64_t index = popped_;  // absolute index of seg
   for (const Segment& seg : segments_) {
     if (seg.sacked) sacked += seg.len;
     if (seg.lost && !seg.retx_queued) lost += seg.len;
-    if (seg.seq + seg.len <= loss_scan_seq_) assert(seg.sacked || seg.lost);
-    if (seg.seq + seg.len <= hole_scan_seq_) assert(seg.sacked || seg.retx_queued);
+    if (index < loss_scan_.index) assert(seg.sacked || seg.lost);
+    if (index < hole_scan_.index) assert(seg.sacked || seg.retx_queued);
+    // A cursor stands for the end of the segment just below it.
+    if (index + 1 == loss_scan_.index) assert(loss_scan_.seq == seg.seq + seg.len);
+    if (index + 1 == hole_scan_.index) assert(hole_scan_.seq == seg.seq + seg.len);
+    ++index;
   }
   assert(sacked == sacked_bytes_);
   assert(lost == lost_bytes_);
+  // Neither cursor passes the last segment.
+  assert(loss_scan_.index <= index);
+  assert(hole_scan_.index <= index);
 #endif
 }
 
@@ -329,6 +347,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
       have_sample_seg = true;
     }
     segments_.pop_front();
+    ++popped_;
   }
   high_sacked_ = std::max(high_sacked_, snd_una_);
 
@@ -355,7 +374,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
     if (snd_una_ >= recovery_point_) {
       in_recovery_ = false;
       rto_epoch_ = false;
-      hole_scan_seq_ = 0;
+      hole_scan_.reset();
       // Re-arm repairs for the next episode. Invariant: lost_bytes_ counts
       // exactly the segments with (lost && !retx_queued), so segments whose
       // repair is being un-queued must be counted back in.
@@ -489,7 +508,7 @@ void TcpSender::on_rto_fire() {
   recovery_start_nxt_ = snd_nxt_;
   fresh_loss_pending_ = false;
   lost_bytes_ = 0;
-  hole_scan_seq_ = 0;
+  hole_scan_.reset();
   for (auto& seg : segments_) {
     seg.retx_queued = false;
     if (!seg.sacked) {

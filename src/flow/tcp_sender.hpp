@@ -103,10 +103,12 @@ class TcpSender : public sim::PacketSink {
   [[nodiscard]] Time limited_time(SendLimit limit) const;
   [[nodiscard]] bool completed() const { return completed_; }
   [[nodiscard]] sim::FlowId flow_id() const { return cfg_.flow_id; }
-  /// Scoreboard position lookups (SACK blocks and both scan cursors) made
-  /// so far, and the segments they compared against a sequence number in
-  /// total. Exact counts (tests / introspection): a full-MSS flow's lookup
-  /// costs one probe, a sub-MSS flow's falls back to a binary search.
+  /// Scoreboard position lookups (one per SACK block) made so far, and the
+  /// segments they compared against a sequence number in total. Exact
+  /// counts (tests / introspection): a full-MSS flow's lookup costs one
+  /// probe, a sub-MSS flow's falls back to a binary search. The two scan
+  /// cursors are segment indices and need no search, so their moves are
+  /// not lookups and cost no probe.
   [[nodiscard]] std::uint64_t scoreboard_lookups() const { return scoreboard_lookups_; }
   [[nodiscard]] std::uint64_t scoreboard_probes() const { return scoreboard_probes_; }
   /// Idle wake-ups of the RTO and pacing timers (sim::Timer::idle_wakeups;
@@ -140,23 +142,48 @@ class TcpSender : public sim::PacketSink {
     int transmissions{1};
   };
 
+  /// A scan cursor: the absolute index (counting every segment ever queued,
+  /// popped ones included) of the first segment the scan has not passed.
+  /// Segments tile the sequence space, so that is the segment
+  /// first_segment_at(end of the last passed segment) would find, and
+  /// subtracting popped_ makes it a deque index with no search.
+  struct ScanCursor {
+    std::int64_t index{0};
+#ifndef NDEBUG
+    std::int64_t seq{0};  ///< Debug oracle: the end of the last segment passed
+#endif
+    void pass([[maybe_unused]] const Segment& seg) {
+      ++index;
+#ifndef NDEBUG
+      seq = seg.seq + seg.len;
+#endif
+    }
+    void reset() { *this = ScanCursor{}; }
+  };
+
   void try_send();
   void on_start_fire();
   void on_pacing_fire();
   void transmit(Segment& seg, bool is_retx);
-  /// First segment with seq >= `seq` (segments_ is contiguous and ascending).
-  /// Probes the index an all-full-MSS scoreboard would give first, and
-  /// binary-searches the segments above it on a miss; Debug builds check
-  /// the result against a binary search over the whole deque.
+  /// First segment with seq >= `seq` (segments_ is contiguous and ascending);
+  /// a SACK block's first segment. Probes the index an all-full-MSS
+  /// scoreboard would give first, and binary-searches the segments above it
+  /// on a miss; Debug builds check the result against a binary search over
+  /// the whole deque.
   [[nodiscard]] std::deque<Segment>::iterator first_segment_at(std::int64_t seq);
+  /// The segment `cursor` points at, after moving a cursor that fell below
+  /// the front up to it. O(1), not a lookup; Debug builds check it against
+  /// a binary search for the cursor's sequence number.
+  [[nodiscard]] std::deque<Segment>::iterator cursor_segment(ScanCursor& cursor);
   /// Marks segments covered by the ACK's SACK blocks, then infers losses
   /// below the raised SACK edge. Returns bytes newly SACKed (0 if none).
   ByteCount apply_sack(const sim::Packet& ack);
   /// SACK-based recovery: retransmits unsacked holes below the highest
   /// SACKed byte, gated by the congestion window.
   void maybe_retransmit_holes();
-  /// Debug builds: recounts the SACK/loss ledgers and checks both cursor
-  /// invariants against segments_.
+  /// Debug builds: recounts the SACK/loss ledgers and checks both cursors
+  /// against segments_ (bounds, settled segments below them, and the
+  /// sequence number each stands for).
   void audit_scoreboard() const;
   void process_new_ack(const sim::Packet& ack);
   void process_dupack(const sim::Packet& ack);
@@ -179,6 +206,7 @@ class TcpSender : public sim::PacketSink {
   std::int64_t snd_una_{0};
   std::int64_t snd_nxt_{0};
   std::deque<Segment> segments_;  ///< unacked segments, ascending seq
+  std::int64_t popped_{0};        ///< segments popped from segments_' front
   ByteCount rwnd_{1 << 30};       ///< peer-advertised window (updated by ACKs)
 
   int dupacks_{0};
@@ -187,23 +215,23 @@ class TcpSender : public sim::PacketSink {
   /// slow start and must keep growing (only dupack-triggered fast recovery
   /// freezes the window until it completes).
   bool rto_epoch_{false};
+  bool fresh_loss_pending_{false};
   std::int64_t recovery_point_{0};
   /// snd_nxt when the latest congestion response was applied; losses at or
   /// beyond it are fresh congestion events deserving their own decrease.
   std::int64_t recovery_start_nxt_{0};
-  bool fresh_loss_pending_{false};
   ByteCount sacked_bytes_{0};
   ByteCount lost_bytes_{0};  ///< lost and not yet retransmitted
   std::int64_t high_sacked_{0};
-  /// Loss-inference cursor: every segment ending at or below it is sacked or
-  /// lost. Both flags are sticky below it (lost is cleared only when sacked
-  /// is set) and the inference edge only rises with high_sacked_, so a scan
-  /// resumes here instead of at the front.
-  std::int64_t loss_scan_seq_{0};
-  /// Hole-repair cursor: every segment ending at or below it is sacked or
-  /// retx_queued, so repair resumes here. Reset to 0 wherever retx_queued
-  /// is cleared (recovery exit and the RTO epoch).
-  std::int64_t hole_scan_seq_{0};
+  /// Loss-inference cursor: every segment below it is sacked or lost. Both
+  /// flags are sticky below it (lost is cleared only when sacked is set) and
+  /// the inference edge only rises with high_sacked_, so a scan resumes here
+  /// instead of at the front.
+  ScanCursor loss_scan_;
+  /// Hole-repair cursor: every segment below it is sacked or retx_queued, so
+  /// repair resumes here. Reset wherever retx_queued is cleared (recovery
+  /// exit and the RTO epoch).
+  ScanCursor hole_scan_;
   std::uint64_t scoreboard_lookups_{0};
   std::uint64_t scoreboard_probes_{0};
 

@@ -6,8 +6,42 @@
 namespace ccc::sim {
 
 void Scheduler::push_heap_entry(const Entry& e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  if (root_vacant_) {
+    root_vacant_ = false;
+    sift_down(0, e);
+  } else {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
+  }
+}
+
+void Scheduler::sift_down(std::size_t i, const Entry& e) {
+  Entry* const h = heap_.data();
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t stop = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < stop; ++c) {
+      if (earlier(h[c], h[best])) best = c;
+    }
+    if (!earlier(h[best], e)) break;
+    h[i] = h[best];
+    i = best;
+  }
+  h[i] = e;
+}
+
+void Scheduler::sift_up(std::size_t i, const Entry& e) {
+  Entry* const h = heap_.data();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(e, h[parent])) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
 }
 
 void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64_t arg) {
@@ -66,7 +100,7 @@ void Scheduler::on_pipe_front(void* pipe, [[maybe_unused]] std::uint64_t seq) {
 }
 
 std::size_t Scheduler::pending() const {
-  std::size_t n = heap_.size();
+  std::size_t n = heap_entries();
   for (const Pipe& p : pipes_) {
     if (!p.records.empty()) n += p.records.size() - p.head - 1;
   }
@@ -75,10 +109,27 @@ std::size_t Scheduler::pending() const {
 
 void Scheduler::run_until(Time end) {
   assert(end >= now_);
-  while (!heap_.empty() && heap_.front().at <= end) {
+#ifndef NDEBUG
+  assert(!running_ && "run_until must not be re-entered from a callback");
+  running_ = true;
+  struct Running {
+    bool& flag;
+    ~Running() { flag = false; }
+  } running{running_};
+#endif
+  for (;;) {
+    if (root_vacant_) {
+      // The last callback pushed nothing: the last entry fills the root.
+      root_vacant_ = false;
+      const Entry last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(0, last);
+    }
+    if (heap_.empty() || heap_.front().at > end) break;
+    // Popped by leaving its slot vacant: the callback's first push (if any)
+    // takes the slot, so a pop plus a push is one sift-down.
     const Entry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
+    root_vacant_ = true;
     now_ = e.at;
     ++executed_;
     e.fn(e.ctx, e.arg);

@@ -15,9 +15,17 @@
 //    is a sim::Timer (sim/timer.hpp): it keeps its deadline as its own
 //    state and ignores the entries it no longer needs when they fire.
 //
-//  * One binary heap holds every timed callback. Nothing in it is ever
+//  * One heap holds every timed callback. Nothing in it is ever
 //    cancelled, so there is no stale-entry bookkeeping; a Timer whose
 //    deadline only moves later keeps at most one entry there.
+//
+//  * One sift per event. run_until leaves the firing entry's root slot
+//    vacant while its callback runs. The callback's first push fills the
+//    root and sifts down; if it pushes nothing, the last entry moves to the
+//    root instead. Nearly every event pushes one successor (a pipe's next
+//    front, a timer, a tx-complete), so a pop plus a push costs one
+//    sift-down. (time, seq) keys are unique, so every correct heap pops the
+//    same order.
 //
 //  * Pipes keep one heap entry. A component whose arrivals are
 //    time-monotonic — a Link's propagation pipe, a DelayLine — registers a
@@ -147,8 +155,9 @@ class Scheduler {
   [[nodiscard]] std::size_t pending() const;
   /// Heap entries: timed callbacks, including Timer entries that will fire
   /// idle, plus one per non-empty pipe (tests pin that this tracks the live
-  /// timer and busy pipe count).
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// timer and busy pipe count). The running callback's vacant root slot is
+  /// not an entry.
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size() - (root_vacant_ ? 1 : 0); }
 
  private:
   template <auto MemFn>
@@ -170,17 +179,15 @@ class Scheduler {
     void* ctx;
     std::uint64_t arg;
   };
-  // std::push_heap/pop_heap build a max-heap w.r.t. the comparator, so
-  // "later" as less-than puts the earliest (and lowest-seq) entry at front.
-  // Stateless functors (not free functions): passing a function pointer to
-  // the heap algorithms makes every comparison an indirect call.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  static constexpr Later later{};
+  /// Heap order: earliest time first, then lowest seq. No two entries share
+  /// a seq, so the order is total.
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
+  /// Children per heap node. The heap is small (tens of entries), so a wide
+  /// node trades a few extra comparisons per level for fewer levels.
+  static constexpr std::size_t kArity = 4;
 
   /// Heap entries reserved at construction: just over 64 KiB. Not for
   /// speed: releasing a block of at least 64 KiB at teardown makes glibc
@@ -190,8 +197,13 @@ class Scheduler {
   /// every short-flow row).
   static constexpr std::size_t kHeapReserve = 64 * 1024 / sizeof(Entry) + 1;
 
-  /// Pushes an entry onto the heap.
+  /// Pushes an entry onto the heap: into the vacant root if there is one,
+  /// else at the bottom.
   void push_heap_entry(const Entry& e);
+  /// Places `e` at slot `i` and moves it down until no child is earlier.
+  void sift_down(std::size_t i, const Entry& e);
+  /// Places `e` at slot `i` and moves it up until its parent is earlier.
+  void sift_up(std::size_t i, const Entry& e);
 
   // ---- pipe internals ----
 
@@ -221,7 +233,14 @@ class Scheduler {
   Time now_{Time::zero()};
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
+  /// heap_[0] is the earliest entry, unless root_vacant_: then it is the
+  /// entry whose callback is running, already popped, and every other slot
+  /// still satisfies the heap order.
   std::vector<Entry> heap_;
+  bool root_vacant_{false};
+#ifndef NDEBUG
+  bool running_{false};  ///< inside run_until (Debug: no re-entry)
+#endif
   PacketPool pool_;
   std::deque<Pipe> pipes_;
 };

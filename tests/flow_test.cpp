@@ -627,5 +627,30 @@ TEST(ScoreboardLookup, FullMssFlowProbesOncePerLookup) {
   }
 }
 
+TEST(ScoreboardLookup, SubMssCursorsCostNoProbes) {
+  // SubMssAppLimitedMix's shape, where lookups miss the index bound and
+  // binary-search. The scan cursors are segment indices, so only SACK
+  // blocks look anything up. An engine that looked up both cursors by
+  // sequence number made {4557, 3186, 2969} lookups costing {20323, 5065,
+  // 3176} probes; its cursors alone took {1844, 1317, 1238} lookups and
+  // {7642, 2029, 1318} probes (counted in an instrumented build). The pins
+  // are exactly the difference: cursor moves cost nothing.
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 0.25;
+  core::DumbbellScenario net{cfg};
+  for (const double mbps : {3.0, 4.0, 5.0}) {
+    net.add_flow(core::make_cca_factory("cubic")(),
+                 std::make_unique<app::RateLimitedApp>(net.scheduler(), Rate::mbps(mbps)));
+  }
+  net.run_until(Time::sec(8.0));
+  const std::array<std::uint64_t, 3> lookups{2713, 1869, 1731};
+  const std::array<std::uint64_t, 3> probes{12681, 3036, 1858};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const TcpSender& sender = net.flow(i).sender();
+    EXPECT_EQ(sender.scoreboard_lookups(), lookups[i]) << "flow " << i;
+    EXPECT_EQ(sender.scoreboard_probes(), probes[i]) << "flow " << i;
+  }
+}
+
 }  // namespace
 }  // namespace ccc::flow
