@@ -12,20 +12,25 @@
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the event engine's suites,
-#          whose heap index arithmetic fails the same way, and the transport suites — flow, CCA, Nimbus
-#          and util — whose SACK-scoreboard cursors, reassembly buffer and
-#          windowed min/max deques do too — and the `queue` suites: the
-#          qdisc unit tests, the every-qdisc property sweep, HFQ and the
-#          DCTCP/ECN marking tests, whose bucket lists, buffer-stealing scan
-#          and shared PacketFifo do as well)
+#          whose heap index arithmetic fails the same way, and test_alloc,
+#          the allocation oracle that replaces the global operator new and
+#          bounds allocator calls per link packet, and the transport suites —
+#          flow, CCA, Nimbus and util — whose SACK-scoreboard cursors,
+#          reassembly buffer and windowed min/max deques do too, as does
+#          util::BlockDeque, the block container behind every per-packet
+#          queue (test_util's model test drives it against std::deque) — and
+#          the `queue` suites: the qdisc unit tests, the every-qdisc property
+#          sweep, HFQ and the DCTCP/ECN marking tests, whose bucket lists,
+#          buffer-stealing scan and shared PacketFifo do as well)
 #
 #   debug  -DCMAKE_BUILD_TYPE=Debug (asserts on, no sanitizer)
 #          ctest -L "sim|transport|queue"
 #          (tsan and asan build RelWithDebInfo, i.e. -DNDEBUG, so only this
 #          job runs the Debug-only checks: the scheduler's pipe-front and
 #          no-re-entry asserts, sim::Timer's callback-runs-at-its-deadline
-#          assert, the sender's SACK-scoreboard audit on every ACK, and the
-#          scoreboard lookup and scan-cursor oracles)
+#          assert, the sender's SACK-scoreboard audit on every ACK, the
+#          scoreboard lookup and scan-cursor oracles, and BlockDeque's
+#          index bounds asserts; test_alloc and test_util run here too)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|debug|all]   (default: all)
 # Build trees land in build-tsan/, build-asan/ and build-debug/ next to

@@ -171,7 +171,7 @@ void TcpSender::transmit(Segment& seg, bool is_retx) {
   if (!rto_timer_.armed()) arm_rto();
 }
 
-std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_t seq) {
+util::BlockDeque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_t seq) {
   ++scoreboard_lookups_;
   const auto below = [this, seq](const Segment& s) {
     ++scoreboard_probes_;
@@ -194,7 +194,7 @@ std::deque<TcpSender::Segment>::iterator TcpSender::first_segment_at(std::int64_
   return it;
 }
 
-std::deque<TcpSender::Segment>::iterator TcpSender::cursor_segment(ScanCursor& cursor) {
+util::BlockDeque<TcpSender::Segment>::iterator TcpSender::cursor_segment(ScanCursor& cursor) {
   cursor.index = std::max(cursor.index, popped_);
   assert(cursor.index - popped_ <= static_cast<std::int64_t>(segments_.size()));
   const auto it = segments_.begin() + (cursor.index - popped_);

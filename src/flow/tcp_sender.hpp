@@ -14,15 +14,16 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "app/app.hpp"
 #include "cca/cca.hpp"
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::telemetry {
 class Histogram;
@@ -146,7 +147,7 @@ class TcpSender : public sim::PacketSink {
   /// popped ones included) of the first segment the scan has not passed.
   /// Segments tile the sequence space, so that is the segment
   /// first_segment_at(end of the last passed segment) would find, and
-  /// subtracting popped_ makes it a deque index with no search.
+  /// subtracting popped_ makes it a segments_ index with no search.
   struct ScanCursor {
     std::int64_t index{0};
 #ifndef NDEBUG
@@ -169,12 +170,12 @@ class TcpSender : public sim::PacketSink {
   /// a SACK block's first segment. Probes the index an all-full-MSS
   /// scoreboard would give first, and binary-searches the segments above it
   /// on a miss; Debug builds check the result against a binary search over
-  /// the whole deque.
-  [[nodiscard]] std::deque<Segment>::iterator first_segment_at(std::int64_t seq);
+  /// the whole scoreboard.
+  [[nodiscard]] util::BlockDeque<Segment>::iterator first_segment_at(std::int64_t seq);
   /// The segment `cursor` points at, after moving a cursor that fell below
   /// the front up to it. O(1), not a lookup; Debug builds check it against
   /// a binary search for the cursor's sequence number.
-  [[nodiscard]] std::deque<Segment>::iterator cursor_segment(ScanCursor& cursor);
+  [[nodiscard]] util::BlockDeque<Segment>::iterator cursor_segment(ScanCursor& cursor);
   /// Marks segments covered by the ACK's SACK blocks, then infers losses
   /// below the raised SACK edge. Returns bytes newly SACKed (0 if none).
   ByteCount apply_sack(const sim::Packet& ack);
@@ -205,9 +206,9 @@ class TcpSender : public sim::PacketSink {
 
   std::int64_t snd_una_{0};
   std::int64_t snd_nxt_{0};
-  std::deque<Segment> segments_;  ///< unacked segments, ascending seq
-  std::int64_t popped_{0};        ///< segments popped from segments_' front
-  ByteCount rwnd_{1 << 30};       ///< peer-advertised window (updated by ACKs)
+  util::BlockDeque<Segment> segments_;  ///< unacked segments, ascending seq
+  std::int64_t popped_{0};              ///< segments popped from segments_' front
+  ByteCount rwnd_{1 << 30};             ///< peer-advertised window (updated by ACKs)
 
   int dupacks_{0};
   bool in_recovery_{false};
@@ -239,7 +240,7 @@ class TcpSender : public sim::PacketSink {
   /// estimation. The counter is arrival-paced at the receiver, so rate
   /// samples stay truthful through loss recovery instead of spiking when a
   /// repaired hole releases a cumulative-ACK jump.
-  std::deque<std::pair<Time, ByteCount>> delivery_hist_;
+  util::BlockDeque<std::pair<Time, ByteCount>> delivery_hist_;
   void record_delivery_point(Time now, ByteCount received_total);
   [[nodiscard]] Rate sample_delivery_rate() const;
 

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::queue {
 
@@ -64,7 +64,7 @@ class DrrFairQueue : public sim::Qdisc {
   ByteCount backlog_bytes_{0};
   std::size_t backlog_packets_{0};
   std::unordered_map<std::uint64_t, SubQueue> queues_;
-  std::deque<std::uint64_t> active_;  // round-robin order of backlogged keys
+  util::BlockDeque<std::uint64_t> active_;  // round-robin order of backlogged keys
 };
 
 }  // namespace ccc::queue

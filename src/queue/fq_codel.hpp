@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "queue/codel.hpp"
 #include "sim/qdisc.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::queue {
 
@@ -64,8 +64,8 @@ class FqCoDelQueue : public sim::Qdisc {
 
   FqCoDelConfig cfg_;
   std::vector<SubQueue> queues_;
-  std::list<std::uint32_t> new_queues_;  ///< sparse-flow priority list
-  std::list<std::uint32_t> old_queues_;
+  util::BlockDeque<std::uint32_t> new_queues_;  ///< sparse-flow priority list
+  util::BlockDeque<std::uint32_t> old_queues_;
   ByteCount backlog_bytes_{0};
   std::size_t backlog_packets_{0};
 };

@@ -9,10 +9,9 @@
 
 #include <cassert>
 #include <cstddef>
-#include <deque>
-#include <optional>
 
 #include "sim/packet.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::queue {
 
@@ -20,9 +19,7 @@ class PacketFifo {
  public:
   /// Appends `pkt`, stamping its `enqueued_at` with `now`.
   void push(const sim::Packet& pkt, Time now) {
-    if (!pkts_) pkts_.emplace();
-    pkts_->push_back(pkt);
-    pkts_->back().enqueued_at = now;
+    pkts_.emplace_back(pkt).enqueued_at = now;
     bytes_ += pkt.size_bytes;
   }
 
@@ -31,8 +28,8 @@ class PacketFifo {
   /// directly measured ~25% slower in a DropTail loop (GCC 12, -O2).
   sim::Packet pop_front() {
     assert(!empty());
-    sim::Packet pkt = pkts_->front();
-    pkts_->pop_front();
+    sim::Packet pkt = pkts_.front();
+    pkts_.pop_front();
     bytes_ -= pkt.size_bytes;
     return pkt;
   }
@@ -40,28 +37,29 @@ class PacketFifo {
   /// Removes and returns the tail. Precondition: !empty().
   sim::Packet pop_back() {
     assert(!empty());
-    sim::Packet pkt = pkts_->back();
-    pkts_->pop_back();
+    sim::Packet pkt = pkts_.back();
+    pkts_.pop_back();
     bytes_ -= pkt.size_bytes;
     return pkt;
   }
 
   /// Head and tail packets; an ECN mark may be written through them.
   /// Precondition: !empty().
-  [[nodiscard]] sim::Packet& front() { return pkts_->front(); }
-  [[nodiscard]] const sim::Packet& front() const { return pkts_->front(); }
-  [[nodiscard]] sim::Packet& back() { return pkts_->back(); }
-  [[nodiscard]] const sim::Packet& back() const { return pkts_->back(); }
+  [[nodiscard]] sim::Packet& front() { return pkts_.front(); }
+  [[nodiscard]] const sim::Packet& front() const { return pkts_.front(); }
+  [[nodiscard]] sim::Packet& back() { return pkts_.back(); }
+  [[nodiscard]] const sim::Packet& back() const { return pkts_.back(); }
 
-  [[nodiscard]] bool empty() const { return !pkts_ || pkts_->empty(); }
-  [[nodiscard]] std::size_t size() const { return pkts_ ? pkts_->size() : 0; }
+  [[nodiscard]] bool empty() const { return pkts_.empty(); }
+  [[nodiscard]] std::size_t size() const { return pkts_.size(); }
   /// Sum of `size_bytes` over the queued packets.
   [[nodiscard]] ByteCount bytes() const { return bytes_; }
 
  private:
-  // Created on the first push: libstdc++'s deque allocates a block even
-  // when empty, and most of FQ-CoDel's 1,024 buckets never see a packet.
-  std::optional<std::deque<sim::Packet>> pkts_;
+  // Allocates nothing before the first push (most of FQ-CoDel's 1,024
+  // buckets never see a packet) and keeps the blocks it empties until it
+  // drains, so a backlog that swings never calls the allocator.
+  util::BlockDeque<sim::Packet> pkts_;
   ByteCount bytes_{0};
 };
 

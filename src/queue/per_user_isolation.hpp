@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 
 #include "queue/packet_fifo.hpp"
 #include "queue/token_bucket.hpp"
 #include "sim/qdisc.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::queue {
 
@@ -51,7 +51,7 @@ class PerUserIsolation : public sim::Qdisc {
   std::size_t backlog_packets_{0};
   std::unordered_map<sim::UserId, Rate> contracts_;
   mutable std::unordered_map<sim::UserId, UserQueue> users_;  // buckets refill in next_ready
-  std::deque<sim::UserId> rr_order_;
+  util::BlockDeque<sim::UserId> rr_order_;
 };
 
 }  // namespace ccc::queue

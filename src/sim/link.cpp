@@ -103,7 +103,7 @@ void Link::maybe_start_tx() {
   }
 
   busy_ = true;
-  const Time tx_time = rate_.transmit_time(pkt->size_bytes);
+  const Time tx_time = serialization_time(pkt->size_bytes);
   stats_.busy_time += tx_time;
   // The serializing packet lives in the scheduler's arena, not a closure
   // capture; its 4-byte handle rides through the typed event's arg (packed
@@ -118,6 +118,15 @@ void Link::maybe_start_tx() {
       tx_time,
       [](void* ctx, std::uint64_t arg) { static_cast<Link*>(ctx)->on_tx_complete(arg); },
       this, (std::uint64_t{tx_epoch_} << 32) | h);
+}
+
+Time Link::serialization_time(ByteCount bytes) {
+  if (bytes != memo_bytes_ || rate_ != memo_rate_) {
+    memo_bytes_ = bytes;
+    memo_rate_ = rate_;
+    memo_time_ = rate_.transmit_time(bytes);
+  }
+  return memo_time_;
 }
 
 void Link::on_tx_complete(std::uint64_t packed) {

@@ -85,6 +85,10 @@ class Link {
 
  private:
   void maybe_start_tx();
+  /// rate_.transmit_time(bytes), memoized for the last (bytes, rate) pair:
+  /// a link mostly serializes runs of same-sized packets at one rate, and
+  /// each miss costs a libm ceil.
+  Time serialization_time(ByteCount bytes);
   /// `packed` = (plan epoch << 32) | packet handle; see tx_epoch_.
   void on_tx_complete(std::uint64_t packed);
 
@@ -109,6 +113,9 @@ class Link {
   Time tx_end_{Time::zero()};        ///< planned completion instant
   Time tx_replan_at_{Time::zero()};  ///< when tx_remaining_bits_ was current
   double tx_remaining_bits_{0.0};
+  ByteCount memo_bytes_{-1};  ///< serialization_time's key (bytes, rate)...
+  Rate memo_rate_;
+  Time memo_time_;            ///< ...and its value
   LinkStats stats_;
   std::function<void(const Packet&, Time)> tx_tap_;
   telemetry::MetricRegistry* metrics_{nullptr};

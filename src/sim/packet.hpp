@@ -20,18 +20,19 @@ using UserId = std::uint32_t;
 /// One simulated packet. Data and ACK packets share this struct; `is_ack`
 /// discriminates. We simulate at packet granularity but do not model byte
 /// contents — only the header fields congestion control and queueing need.
+///
+/// Fields run widest first, with every flag at the end, so the struct has no
+/// padding holes: a data packet is copied into the qdisc, out of it and into
+/// the packet pool, and each copy moves sizeof(Packet) bytes.
 struct Packet {
   FlowId flow{0};
   UserId user{0};
   ByteCount size_bytes{0};  ///< wire size, including an assumed header
 
-  bool is_ack{false};
-
   // --- data packet fields ---
   std::int64_t seq{0};          ///< first payload byte carried
   ByteCount payload_bytes{0};   ///< payload length (seq..seq+payload)
   Time sent_at{Time::zero()};   ///< transmit timestamp (echoed in ACKs)
-  bool is_retransmission{false};
 
   // --- ACK fields ---
   std::int64_t ack_seq{0};            ///< cumulative: all bytes < ack_seq received
@@ -42,7 +43,6 @@ struct Packet {
   /// out-of-order). Monotone and arrival-paced, so ACK spacing of this
   /// counter is the ground-truth delivery rate even during loss recovery.
   std::int64_t received_total{0};
-  bool ece{false};                    ///< ECN echo (for ECN-capable qdiscs)
 
   /// SACK blocks (RFC 2018): received-but-not-cumulative byte ranges
   /// [start, end). Real TCP fits ~3 in the options space.
@@ -52,18 +52,22 @@ struct Packet {
   };
   static constexpr int kMaxSack = 3;
   SackRange sack[kMaxSack]{};
-  int n_sack{0};
-
-  // --- network marks ---
-  bool ecn_capable{false};  ///< transport is ECN-capable (ECT)
-  bool ecn_marked{false};   ///< CE mark applied by a qdisc
 
   // --- telemetry ---
   /// Stamped by the qdisc's queue::PacketFifo when a qdisc admits the
   /// packet. Sojourn = dequeue time - enqueued_at; CoDel's controller and
   /// the Link's sojourn histogram both read it.
   Time enqueued_at{Time::zero()};
+
+  // --- counts and flags ---
+  std::int16_t n_sack{0};          ///< SACK blocks in use (ACKs), <= kMaxSack
+  bool is_ack{false};
+  bool is_retransmission{false};   ///< data: a repair of an earlier send
+  bool ece{false};                 ///< ACK: ECN echo (for ECN-capable qdiscs)
+  bool ecn_capable{false};         ///< transport is ECN-capable (ECT)
+  bool ecn_marked{false};          ///< CE mark applied by a qdisc
 };
+static_assert(sizeof(Packet) == 144, "Packet grew: keep its fields widest first");
 
 /// Conventional sizes (Ethernet-ish MTU; 40-byte TCP/IP header abstraction).
 inline constexpr ByteCount kHeaderBytes = 40;

@@ -6,19 +6,20 @@
 // Link's tx-complete event) carries the 4-byte handle, and the scheduler
 // hands sinks a reference into the slab.
 //
-// Storage is a std::deque so slots never move: a sink reading the delivered
-// packet may itself acquire new handles (an ACK turned around into a reverse
-// link) without invalidating the reference it was handed. Freed slots go on
-// an intrusive free list and are reused LIFO, so steady-state simulations
-// allocate nothing — the deque grows to the high-water mark of in-flight
-// packets (roughly the sum of BDPs) and stays there.
+// Storage is a util::BlockDeque, whose blocks never relocate, so slots never
+// move: a sink reading the delivered packet may itself acquire new handles
+// (an ACK turned around into a reverse link) without invalidating the
+// reference it was handed, and get(h) is a shift and a mask. Freed slots go
+// on a free list and are reused LIFO, so steady-state simulations allocate
+// nothing — the slab grows to the high-water mark of in-flight packets
+// (roughly the sum of BDPs) and stays there.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/packet.hpp"
+#include "util/block_deque.hpp"
 
 namespace ccc::sim {
 
@@ -44,8 +45,9 @@ class PacketPool {
     return h;
   }
 
-  /// The packet behind `h`. References stay valid across acquire() — deque
-  /// storage never relocates — but not across release() of the same handle.
+  /// The packet behind `h`. References stay valid across acquire() — the
+  /// slab's blocks never relocate — but not across release() of the same
+  /// handle.
   [[nodiscard]] const Packet& get(Handle h) const { return slots_[h]; }
   [[nodiscard]] Packet& get(Handle h) { return slots_[h]; }
 
@@ -61,7 +63,7 @@ class PacketPool {
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
  private:
-  std::deque<Packet> slots_;
+  util::BlockDeque<Packet> slots_;
   std::vector<Handle> free_;
   std::size_t live_{0};
 };

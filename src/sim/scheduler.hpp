@@ -45,11 +45,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
+#include "util/block_deque.hpp"
 #include "util/units.hpp"
 
 namespace ccc::sim {
@@ -210,8 +210,8 @@ class Scheduler {
   /// One pipe: its in-flight records in firing order. Appends are
   /// time-monotonic (a precondition of schedule_delivery_*) and seq is
   /// globally increasing, so [head, size) is sorted by (at, seq). Pipes live
-  /// in a deque, so the heap entry's context pointer survives later
-  /// registrations.
+  /// in a util::BlockDeque, whose elements never move, so the heap entry's
+  /// context pointer survives later registrations.
   struct Pipe {
     struct Record {
       Time at;
@@ -242,7 +242,7 @@ class Scheduler {
   bool running_{false};  ///< inside run_until (Debug: no re-entry)
 #endif
   PacketPool pool_;
-  std::deque<Pipe> pipes_;
+  util::BlockDeque<Pipe> pipes_;
 };
 
 }  // namespace ccc::sim

@@ -10,6 +10,7 @@
 #include "queue/token_bucket.hpp"
 #include "sim/demux.hpp"
 #include "sim/link.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/rate_trace.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -118,6 +119,25 @@ TEST(Scheduler, NonEmptyPipeHoldsOneHeapEntry) {
   EXPECT_EQ(sink.packets.size(), 1000u);
   EXPECT_EQ(sched.heap_entries(), 0u);
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(PacketPool, ReferenceSurvivesAcquiringManyBlocksMore) {
+  // A sink may acquire handles (an ACK turned around) while it still reads
+  // the packet it was handed: a get() reference must survive acquires that
+  // grow the slab by many blocks, and reused slots must not disturb it.
+  PacketPool pool;
+  const PacketPool::Handle held = pool.acquire(make_data(7, 1234));
+  const Packet& ref = pool.get(held);
+  std::vector<PacketPool::Handle> more;
+  for (int i = 0; i < 100; ++i) more.push_back(pool.acquire(make_data(8, 100 + i)));
+  for (int i = 0; i < 50; ++i) pool.release(more[static_cast<std::size_t>(2 * i)]);
+  for (int i = 0; i < 80; ++i) more.push_back(pool.acquire(make_data(9, 40)));
+  EXPECT_EQ(&ref, &pool.get(held));
+  EXPECT_EQ(ref.flow, 7u);
+  EXPECT_EQ(ref.size_bytes, 1234);
+  EXPECT_EQ(pool.live(), 1u + 50u + 80u);
+  EXPECT_EQ(pool.capacity(), 1u + 100u + 30u);  // 50 freed slots were reused first
+  EXPECT_EQ(pool.get(more.back()).flow, 9u);
 }
 
 TEST(Link, SerializationPlusPropagationDelay) {
@@ -306,6 +326,49 @@ TEST(Link, DenseMidFlightRateChangesKeepDeliveriesMonotonic) {
     ASSERT_LE(sink.arrival_times[i - 1], sink.arrival_times[i]) << "arrival " << i;
   }
   EXPECT_EQ(sched.packets().live(), 0u);
+}
+
+TEST(Link, SerializationTimeTracksEverySizeAndRateChange) {
+  // The link memoizes the last (size, rate) serialization time. Bursts mix
+  // repeated and alternating sizes, and set_rate runs between bursts (the
+  // link idle), returning to an earlier rate too: every packet's
+  // serialization time must still be exactly rate.transmit_time(size).
+  // Rates are chosen so transmit_time rounds up a fractional nanosecond.
+  Scheduler sched;
+  ClosureEvents ev{sched};
+  CollectingSink sink{sched};
+  Link link{sched, Rate::mbps(7), Time::ms(1), std::make_unique<queue::DropTailQueue>(1 << 20),
+            sink};
+  std::vector<Time> tapped;
+  link.set_tx_tap([&](const Packet&, Time now) { tapped.push_back(now); });
+  const std::vector<ByteCount> sizes{1500, 1500, 40, 1500, 40, 40, 577, 1500, 577};
+  const std::vector<Rate> rates{Rate::mbps(7), Rate::bps(11'300'001), Rate::mbps(7),
+                                Rate::kbps(999.7), Rate::bps(11'300'001)};
+  struct Expect {
+    Time burst_at;
+    Rate rate;
+  };
+  std::vector<Expect> bursts;
+  for (std::size_t b = 0; b < rates.size(); ++b) {
+    const Time at = Time::sec(static_cast<double>(b));  // each burst drains within 1 s
+    bursts.push_back({at, rates[b]});
+    ev.at(at, [&link, &sizes, rate = rates[b]] {
+      link.set_rate(rate);
+      for (const ByteCount s : sizes) link.send(make_data(1, s));
+    });
+  }
+  sched.run_until(Time::sec(static_cast<double>(rates.size())));
+
+  ASSERT_EQ(tapped.size(), rates.size() * sizes.size());
+  for (std::size_t b = 0; b < bursts.size(); ++b) {
+    Time start = bursts[b].burst_at;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      const Time done = tapped[b * sizes.size() + k];
+      EXPECT_EQ(done - start, bursts[b].rate.transmit_time(sizes[k]))
+          << "burst " << b << " packet " << k;
+      start = done;  // back to back: the next packet starts as this one ends
+    }
+  }
 }
 
 TEST(Link, TxTapSeesEveryPacket) {
