@@ -21,7 +21,16 @@
 #          queue (test_util's model test drives it against std::deque) — and
 #          the `queue` suites: the qdisc unit tests, the every-qdisc property
 #          sweep, HFQ and the DCTCP/ECN marking tests, whose bucket lists,
-#          buffer-stealing scan and shared PacketFifo do as well)
+#          buffer-stealing scan and shared PacketFifo do as well). The
+#          finished-flow retirement tests run here too: a heap entry the
+#          retirement rule missed shows up as a heap-use-after-free, not as
+#          a wrong number. They are Timer.EntriesSumToHeapEntries
+#          (test_timer), Scheduler.ReleasedPipeIsReusedForItsNewSink and
+#          Demux.MatchesHashMapModelUnderChurn (test_sim),
+#          ShortFlowWorkload.RetiresFinishedFlowsWithoutMovingTheRun and
+#          TcpFlow.QuiescentWaitsForEveryTimerEntryAndTheReversePipe
+#          (test_flow), and Allocations.ShortFlowChurnHoldsLiveFlowsNotArrivals
+#          (test_alloc): labels `sim` and `transport`
 #
 #   debug  -DCMAKE_BUILD_TYPE=Debug (asserts on, no sanitizer)
 #          ctest -L "sim|transport|queue"
@@ -29,8 +38,11 @@
 #          job runs the Debug-only checks: the scheduler's pipe-front and
 #          no-re-entry asserts, sim::Timer's callback-runs-at-its-deadline
 #          assert, the sender's SACK-scoreboard audit on every ACK, the
-#          scoreboard lookup and scan-cursor oracles, and BlockDeque's
-#          index bounds asserts; test_alloc and test_util run here too)
+#          scoreboard lookup and scan-cursor oracles, BlockDeque's
+#          index bounds asserts, and the retirement asserts: release_pipe
+#          takes only an empty pipe (SchedulerDeathTest) and
+#          TcpFlow::release_reverse_path only a quiescent flow; test_alloc,
+#          test_util and the retirement tests above run here too)
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|debug|all]   (default: all)
 # Build trees land in build-tsan/, build-asan/ and build-debug/ next to

@@ -27,12 +27,24 @@ void ShortFlowWorkload::schedule_next_arrival() {
 
 void ShortFlowWorkload::on_arrival() {
   if (sched_.now() >= cfg_.stop_at) return;
+  retire_finished();
   spawn_flow();
   schedule_next_arrival();
 }
 
+void ShortFlowWorkload::retire_finished() {
+  if (retired_ == completed_) return;
+  std::erase_if(flows_, [this](const std::unique_ptr<TcpFlow>& f) {
+    if (!f->quiescent()) return false;
+    retired_bytes_ += f->delivered_bytes();
+    f->release_reverse_path();
+    ++retired_;
+    return true;
+  });
+}
+
 ByteCount ShortFlowWorkload::bytes_delivered() const {
-  ByteCount total = 0;
+  ByteCount total = retired_bytes_;
   for (const auto& f : flows_) total += f->delivered_bytes();
   return total;
 }
@@ -50,11 +62,11 @@ void ShortFlowWorkload::spawn_flow() {
 
   auto flow = std::make_unique<TcpFlow>(sched_, fc, cca_factory_(),
                                         std::make_unique<app::BulkApp>(size), forward_, demux_);
-  const std::size_t idx = flows_.size();
-  flow_started_at_.push_back(sched_.now());
-  flow->sender().set_on_complete([this, idx, id = fc.flow_id](Time done) {
+  flow->sender().set_on_complete([this, started = fc.start_at, id = fc.flow_id](Time done) {
     ++completed_;
-    fct_sec_.push_back((done - flow_started_at_[idx]).to_sec());
+    fct_sec_.push_back((done - started).to_sec());
+    // Forward data can no longer reach the receiver: only its timers and
+    // the reverse pipe keep the flow from being retired.
     demux_.deregister_flow(id);
   });
   flows_.push_back(std::move(flow));

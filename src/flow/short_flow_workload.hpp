@@ -5,6 +5,10 @@
 // heavy-tailed (bounded-Pareto) number of bytes and terminates when
 // delivered. Most such flows fit in the initial window, so no CCA dynamics
 // ever engage — exactly the property the paper leans on.
+//
+// A finished flow is retired (destroyed, its reverse pipe released for
+// reuse) at the first arrival after nothing can reach it any more, so a
+// scenario holds its live flows, not every flow it ever started.
 #pragma once
 
 #include <memory>
@@ -43,16 +47,24 @@ class ShortFlowWorkload {
   ShortFlowWorkload(const ShortFlowWorkload&) = delete;
   ShortFlowWorkload& operator=(const ShortFlowWorkload&) = delete;
 
-  [[nodiscard]] std::size_t flows_started() const { return flows_.size(); }
+  [[nodiscard]] std::size_t flows_started() const { return retired_ + flows_.size(); }
   [[nodiscard]] std::size_t flows_completed() const { return completed_; }
+  /// Flows not yet retired: running, or finished but still reachable (an
+  /// ACK in the reverse pipe, a timer entry on the heap).
+  [[nodiscard]] std::size_t flows_held() const { return flows_.size(); }
   /// Flow completion times (seconds) of finished connections.
   [[nodiscard]] const std::vector<double>& completion_times_sec() const { return fct_sec_; }
+  /// Bytes delivered in order by every flow started, retired ones included.
   [[nodiscard]] ByteCount bytes_delivered() const;
 
  private:
   void schedule_next_arrival();
   void on_arrival();
   void spawn_flow();
+  /// Destroys every held flow that has finished and is quiescent
+  /// (TcpFlow::quiescent). Runs inside an arrival and schedules nothing, so
+  /// retiring draws no seq ticket and adds no event.
+  void retire_finished();
 
   sim::Scheduler& sched_;
   Rng& rng_;
@@ -62,9 +74,10 @@ class ShortFlowWorkload {
   sim::FlowDemux& demux_;
 
   sim::FlowId next_id_;
-  std::vector<std::unique_ptr<TcpFlow>> flows_;
-  std::vector<Time> flow_started_at_;
+  std::vector<std::unique_ptr<TcpFlow>> flows_;  ///< flows not yet retired
   std::size_t completed_{0};
+  std::size_t retired_{0};
+  ByteCount retired_bytes_{0};  ///< delivered by the retired flows
   std::vector<double> fct_sec_;
 };
 

@@ -9,6 +9,7 @@
 //      +------------------ DelayLine (reverse) --------------–----+
 #pragma once
 
+#include <cassert>
 #include <memory>
 
 #include "app/app.hpp"
@@ -55,6 +56,22 @@ class TcpFlow {
   /// Mean goodput between two absolute times, from receiver-delivered bytes.
   /// (Caller supplies byte counts snapshotted at the interval edges.)
   [[nodiscard]] ByteCount delivered_bytes() const { return receiver_.delivered_bytes(); }
+
+  /// True once the scheduler can no longer reach the flow: the sender has
+  /// completed (so it started, and neither it nor its app schedules again),
+  /// none of its timers (RTO, pacing, delayed ACK) holds a heap entry, and
+  /// no ACK is in the reverse pipe. Forward data reaches the receiver only
+  /// through the demux, so the owner must have deregistered the flow's id.
+  [[nodiscard]] bool quiescent() const {
+    return sender_.completed() && sender_.timer_entries() == 0 &&
+           receiver_.timer_entries() == 0 && reverse_.in_flight() == 0;
+  }
+  /// Gives the reverse pipe back to the scheduler, so the flow can be
+  /// destroyed mid-run. Precondition: quiescent(); destroy the flow next.
+  void release_reverse_path() {
+    assert(quiescent() && "only a quiescent flow can be retired");
+    reverse_.release();
+  }
 
  private:
   TcpFlowConfig cfg_;

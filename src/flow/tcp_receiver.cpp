@@ -37,7 +37,8 @@ void TcpReceiver::deliver(const sim::Packet& pkt) {
     }
     if (pulled != ooo_.begin()) {
       ooo_.erase(ooo_.begin(), pulled);
-      if (ooo_.empty()) ooo_.shrink_to_fit();  // release the buffer between loss episodes
+      // Between loss episodes keep kKeptRanges' worth, not a burst's.
+      if (ooo_.empty() && ooo_.capacity() > kKeptRanges) ooo_ = {};
     }
   } else {
     buffer_out_of_order(start, end);
@@ -65,6 +66,10 @@ void TcpReceiver::buffer_out_of_order(std::int64_t start, std::int64_t end) {
     ooo_bytes_ -= it->end - it->start;
     it->end = std::max(it->end, end);
   } else {
+    if (ooo_.capacity() == 0) {
+      ooo_.reserve(kKeptRanges);
+      it = ooo_.end();  // the buffer was empty
+    }
     it = ooo_.insert(it, Range{start, end});
   }
   // Absorb every successor the range now reaches, adjacent ones included.

@@ -45,6 +45,8 @@ class TcpReceiver : public sim::PacketSink {
   [[nodiscard]] std::uint64_t timer_idle_wakeups() const {
     return delayed_ack_timer_.idle_wakeups();
   }
+  /// Heap entries pointing at the delayed-ACK timer (sim::Timer::entries).
+  [[nodiscard]] std::uint32_t timer_entries() const { return delayed_ack_timer_.entries(); }
 
  private:
   /// Buffers out-of-order bytes [start, end), start > rcv_nxt_.
@@ -71,8 +73,11 @@ class TcpReceiver : public sim::PacketSink {
   /// absorbs the successors it reaches, so one repair joins the run above
   /// it; a range that only touches its predecessor stays separate, which
   /// keeps the newest arrivals in their own SACK blocks. A flat vector, not
-  /// a node-based map: the reassembly buffer frees nothing per packet.
+  /// a node-based map: the reassembly buffer frees nothing per packet. Its
+  /// first range reserves kKeptRanges, and a drain keeps that capacity and
+  /// releases only a larger one, so loss episodes do not regrow it.
   std::vector<Range> ooo_;
+  static constexpr std::size_t kKeptRanges = 8;
   ByteCount ooo_bytes_{0};  ///< total length of ooo_
   std::uint64_t packets_received_{0};
   std::uint64_t duplicate_packets_{0};

@@ -117,6 +117,11 @@ class TcpSender : public sim::PacketSink {
   [[nodiscard]] std::uint64_t timer_idle_wakeups() const {
     return rto_timer_.idle_wakeups() + pacing_timer_.idle_wakeups();
   }
+  /// Heap entries pointing at the RTO and pacing timers
+  /// (sim::Timer::entries): while nonzero, the sender must not be destroyed.
+  [[nodiscard]] std::uint32_t timer_entries() const {
+    return rto_timer_.entries() + pacing_timer_.entries();
+  }
 
   /// Invoked once, when the app finishes and all its bytes are ACKed.
   void set_on_complete(std::function<void(Time)> fn) { on_complete_ = std::move(fn); }

@@ -142,6 +142,12 @@ class DelayLine : public PacketSink {
   /// packets still in flight: each goes to the sink bound when it arrives.
   void set_dst(PacketSink& dst) { sched_.rebind_pipe(pipe_, dst); }
 
+  /// Packets in flight on the line.
+  [[nodiscard]] std::size_t in_flight() const { return sched_.pipe_in_flight(pipe_); }
+  /// Gives the line's pipe back to the scheduler for reuse; the line must
+  /// carry nothing more. Precondition: in_flight() == 0.
+  void release() { sched_.release_pipe(pipe_); }
+
  private:
   Scheduler& sched_;
   Time delay_;

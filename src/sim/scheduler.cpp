@@ -55,9 +55,21 @@ void Scheduler::schedule_fire_at_seq(Time at, std::uint64_t seq, RawCallback fn,
 }
 
 Scheduler::PipeId Scheduler::register_pipe(PacketSink& sink) {
+  if (!free_pipes_.empty()) {
+    const PipeId id = free_pipes_.back();
+    free_pipes_.pop_back();
+    pipes_[id].sink = &sink;
+    return id;
+  }
   const auto id = static_cast<PipeId>(pipes_.size());
   pipes_.push_back({this, &sink, {}, 0});
   return id;
+}
+
+void Scheduler::release_pipe(PipeId id) {
+  assert(pipes_[id].records.empty() && "only an empty pipe can be released");
+  pipes_[id].sink = nullptr;
+  free_pipes_.push_back(id);
 }
 
 void Scheduler::rebind_pipe(PipeId id, PacketSink& sink) { pipes_[id].sink = &sink; }

@@ -39,9 +39,11 @@
 //
 // Lifetime: the scheduler holds raw context pointers, so every owner of a
 // pending entry — a fire-and-forget callback's context, a Timer, a pipe's
-// sink — must outlive the scheduler's run (or the run must end
-// before the entry is due). TcpSender::start's on_start_fire and every
-// Timer rely on this.
+// sink — must outlive the scheduler's run, or at least that entry (or the
+// run must end before the entry is due). An object that no entry and no
+// non-empty pipe can reach may be destroyed mid-run: a Timer whose
+// entries() is 0, a pipe's sink once the pipe is empty and released. That is
+// how ShortFlowWorkload retires finished flows without scheduling anything.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +70,7 @@ class Timer;  // sim/timer.hpp
 /// makes packet orderings — and therefore whole experiments — reproducible.
 class Scheduler {
  public:
-  Scheduler() { heap_.reserve(kHeapReserve); }
+  Scheduler() = default;
   /// Not copyable or movable: pipes and pending entries point into it.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -109,10 +111,16 @@ class Scheduler {
   using PipeId = std::uint32_t;
 
   /// Registers a pipe delivering into `sink`. One per monotonic producer (a
-  /// Link's propagation pipe, a DelayLine). Pipes are never unregistered
-  /// and their storage is kept for the whole run, but an empty one has no
-  /// heap entry and costs nothing per event.
+  /// Link's propagation pipe, a DelayLine). Reuses the last released pipe,
+  /// if any (its storage included). An empty pipe has no heap entry and
+  /// costs nothing per event.
   [[nodiscard]] PipeId register_pipe(PacketSink& sink);
+
+  /// Gives pipe `id` back for a later register_pipe to reuse; after this,
+  /// nothing reaches its old sink. Precondition: the pipe is empty (Debug
+  /// assert). Pipe ids never enter the firing order, which is keyed by
+  /// (time, seq), so reusing one changes no event's order.
+  void release_pipe(PipeId id);
 
   /// Re-points a pipe at a different sink. Applies to everything still in
   /// flight: each packet goes to the sink bound when it is delivered.
@@ -189,14 +197,6 @@ class Scheduler {
   /// node trades a few extra comparisons per level for fewer levels.
   static constexpr std::size_t kArity = 4;
 
-  /// Heap entries reserved at construction: just over 64 KiB. Not for
-  /// speed: releasing a block of at least 64 KiB at teardown makes glibc
-  /// consolidate the small chunks a scenario's flows have just freed there,
-  /// instead of inside the next scenario's timed set-up (the hazard DESIGN.md
-  /// "Receiver" describes; perfbench's applimited_mix set-up shows it after
-  /// every short-flow row).
-  static constexpr std::size_t kHeapReserve = 64 * 1024 / sizeof(Entry) + 1;
-
   /// Pushes an entry onto the heap: into the vacant root if there is one,
   /// else at the bottom.
   void push_heap_entry(const Entry& e);
@@ -243,6 +243,7 @@ class Scheduler {
 #endif
   PacketPool pool_;
   util::BlockDeque<Pipe> pipes_;
+  std::vector<PipeId> free_pipes_;  ///< released pipes, reused last first
 };
 
 }  // namespace ccc::sim

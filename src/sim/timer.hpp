@@ -19,9 +19,15 @@
 //
 // A Timer<&T::f> calls the nullary member function f on its owner: the
 // callback is part of the type, so a timer stores no function pointer and
-// the call is direct. Lifetime: a pending entry points at the Timer, so the
-// Timer (and its owner) must outlive the scheduler's run. Timers cannot be
-// copied or moved.
+// the call is direct. Timers cannot be copied or moved.
+//
+// Lifetime: every heap entry a timer pushed points at the Timer, so the
+// Timer (and its owner) must outlive the scheduler's run, or at least its
+// last entry. A timer can hold more than one entry: a sooner arm()
+// supersedes the pending entry, which stays on the heap and later fires
+// idle. entries() counts them all (pushed minus fired); a timer whose
+// entries() is 0 can be destroyed mid-run, and ShortFlowWorkload relies on
+// this to retire finished flows.
 #pragma once
 
 #include <cassert>
@@ -57,9 +63,14 @@ class Timer<MemFn> {
   /// Entries that fired without running the callback: early (re-pushed
   /// for a later deadline), superseded by a sooner arm, or disarmed.
   [[nodiscard]] std::uint64_t idle_wakeups() const { return idle_wakeups_; }
+  /// Heap entries that point at this timer: pushed minus fired, superseded
+  /// ones included. Not whether it is armed: a disarmed timer can still
+  /// hold entries, and none of them may fire after it is destroyed.
+  [[nodiscard]] std::uint32_t entries() const { return entries_; }
 
  private:
   void push(Time at, std::uint64_t seq) {
+    ++entries_;
     pending_at_ = at;
     pending_seq_ = seq;
     sched_.schedule_fire_at_seq(
@@ -68,6 +79,7 @@ class Timer<MemFn> {
   }
 
   void on_fire(std::uint64_t seq) {
+    --entries_;
     if (seq != pending_seq_) {
       ++idle_wakeups_;  // superseded by a sooner entry
       return;
@@ -95,6 +107,7 @@ class Timer<MemFn> {
   Time pending_at_{Time::never()};  ///< the live entry's time; never if none
   std::uint64_t pending_seq_{0};    ///< the live entry's ticket
   std::uint64_t idle_wakeups_{0};
+  std::uint32_t entries_{0};  ///< heap entries pointing here (see entries())
 };
 
 }  // namespace ccc::sim

@@ -14,6 +14,7 @@
 #include "app/bulk.hpp"
 #include "app/rate_limited.hpp"
 #include "cca/bbr.hpp"
+#include "cca/cubic.hpp"
 #include "cca/new_reno.hpp"
 #include "core/cca_registry.hpp"
 #include "core/dumbbell.hpp"
@@ -258,6 +259,98 @@ TEST(ShortFlowWorkload, DeterministicForSameSeed) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(ShortFlowWorkload, RetiresFinishedFlowsWithoutMovingTheRun) {
+  // 2,182 arrivals 30 ms apart over 65 s, sharing a 20 Mbit/s bottleneck
+  // with a backlogged Cubic flow, so short flows lose packets and finish
+  // with RTO entries still on the heap. Finished flows are destroyed once
+  // quiescent, so the workload holds a few dozen flows, not every arrival;
+  // and since retiring schedules nothing, the run is the one that kept
+  // every flow: these FCTs, bytes and event count are the values the
+  // workload gave before it retired anything.
+  auto cfg = small_net();
+  cfg.bottleneck_rate = Rate::mbps(20);
+  core::DumbbellScenario net{cfg};
+  net.add_flow(std::make_unique<cca::Cubic>(), std::make_unique<app::BulkApp>());
+  ShortFlowConfig sf;
+  sf.stop_at = Time::sec(65.0);
+  sf.mean_interarrival = Time::ms(30);
+  auto& wl = net.add_short_flows(sf, core::make_cca_factory("cubic"));
+  std::size_t max_held = 0;
+  for (int s = 1; s <= 70; ++s) {
+    net.run_until(Time::sec(static_cast<double>(s)));
+    max_held = std::max(max_held, wl.flows_held());
+  }
+  EXPECT_EQ(wl.flows_started(), 2182u);
+  EXPECT_EQ(wl.flows_completed(), 2182u);
+  EXPECT_LE(max_held, 80u);
+  ASSERT_EQ(wl.completion_times_sec().size(), 2182u);
+  double fct_sum = 0.0;
+  for (double f : wl.completion_times_sec()) fct_sum += f;
+  EXPECT_EQ(fct_sum, 0x1.5697154b5a8b5p+8);  // 342.59016867600013 s
+  EXPECT_EQ(*std::max_element(wl.completion_times_sec().begin(), wl.completion_times_sec().end()),
+            0x1.c8b782d8e2dabp+1);
+  EXPECT_EQ(wl.bytes_delivered(), 42'646'670);
+  EXPECT_EQ(net.scheduler().events_executed(), 359'608u);
+  EXPECT_EQ(net.demux().unroutable_packets(), 8u);
+}
+
+TEST(TcpFlow, QuiescentWaitsForEveryTimerEntryAndTheReversePipe) {
+  // A finished flow may be destroyed only once the scheduler cannot reach
+  // it. The transfer ends at ~200 ms; the sender's first RTO entry (pushed
+  // at start for the 1 s initial RTO, whose deadline only moved later) fires
+  // idle at 1 s, and the receiver's delayed-ACK entry, armed by the
+  // second-to-last packet and superseded by the last one's immediate ACK,
+  // fires idle 1.5 s after it. So each side keeps the finished flow
+  // unretirable in turn; once quiescent, it stays so.
+  auto cfg = small_net();
+  cfg.buffer_bdp_multiple = 4.0;
+  core::DumbbellScenario net{cfg};
+  flow::TcpFlowConfig fc;
+  fc.flow_id = 1;
+  fc.reverse_delay = Time::ms(10);
+  fc.delayed_ack = Time::ms(1500);
+  sim::LinkSink link_sink{net.bottleneck()};
+  flow::TcpFlow f{net.scheduler(), fc, core::make_cca_factory("cubic")(),
+                  std::make_unique<app::BulkApp>(201'600), link_sink, net.demux()};
+  f.sender().set_on_complete([&net](Time) { net.demux().deregister_flow(1); });
+  bool quiescent = false;
+  int held_by_sender = 0;
+  int held_by_receiver_only = 0;
+  for (int step = 1; step <= 5'000; ++step) {
+    net.run_until(Time::ms(step));
+    if (!f.sender().completed()) {
+      EXPECT_FALSE(f.quiescent());
+      continue;
+    }
+    const bool sender = f.sender().timer_entries() > 0;
+    const bool receiver = f.receiver().timer_entries() > 0;
+    held_by_sender += sender ? 1 : 0;
+    held_by_receiver_only += receiver && !sender ? 1 : 0;
+    if (sender || receiver) {
+      EXPECT_FALSE(f.quiescent()) << "at " << step << " ms";
+    }
+    if (quiescent) {
+      EXPECT_TRUE(f.quiescent()) << "at " << step << " ms";
+    }
+    quiescent = f.quiescent();
+  }
+  EXPECT_TRUE(quiescent);
+  EXPECT_GT(held_by_sender, 0);
+  EXPECT_GT(held_by_receiver_only, 0);
+  // A duplicate that reached the receiver before its route went away puts
+  // an ACK in the reverse pipe: the flow is reachable until it lands.
+  sim::Packet dup;
+  dup.flow = 1;
+  dup.seq = 0;
+  dup.payload_bytes = 1000;
+  dup.size_bytes = dup.payload_bytes + sim::kHeaderBytes;
+  f.receiver().deliver(dup);
+  EXPECT_FALSE(f.quiescent());
+  net.run_until(Time::ms(5'009));
+  EXPECT_FALSE(f.quiescent());
+  net.run_until(Time::ms(5'010));
+  EXPECT_TRUE(f.quiescent());
+}
 
 TEST(TcpFlow, DelayedAcksHalveAckTraffic) {
   // A lossless bounded transfer (fits in slow start before any overshoot):

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "closure_events.hpp"
@@ -120,6 +121,56 @@ TEST(Scheduler, NonEmptyPipeHoldsOneHeapEntry) {
   EXPECT_EQ(sched.heap_entries(), 0u);
   EXPECT_EQ(sched.pending(), 0u);
 }
+
+TEST(Scheduler, ReleasedPipeIsReusedForItsNewSink) {
+  // A retired short flow gives its reverse pipe back and the next flow's
+  // DelayLine takes the same id: from then on the pipe delivers only the
+  // new sink's packets, and the old sink is never reached again.
+  Scheduler sched;
+  CollectingSink old_sink{sched};
+  CollectingSink new_sink{sched};
+  CollectingSink other{sched};
+  const Scheduler::PipeId a = sched.register_pipe(old_sink);
+  const Scheduler::PipeId b = sched.register_pipe(other);
+  for (int i = 1; i <= 3; ++i) sched.schedule_delivery_at(Time::ms(i), a, make_data(1, 100));
+  sched.run_until(Time::ms(10));
+  ASSERT_EQ(old_sink.packets.size(), 3u);
+  sched.release_pipe(a);
+  const Scheduler::PipeId c = sched.register_pipe(new_sink);
+  EXPECT_EQ(c, a);
+  sched.schedule_delivery_at(Time::ms(12), c, make_data(2, 100));
+  sched.schedule_delivery_at(Time::ms(11), b, make_data(3, 100));
+  sched.schedule_delivery_at(Time::ms(13), c, make_data(2, 100));
+  sched.run_until(Time::ms(20));
+  EXPECT_EQ(old_sink.packets.size(), 3u);
+  ASSERT_EQ(new_sink.packets.size(), 2u);
+  EXPECT_EQ(new_sink.packets[0].flow, 2u);
+  EXPECT_EQ(new_sink.arrival_times[0], Time::ms(12));
+  EXPECT_EQ(new_sink.arrival_times[1], Time::ms(13));
+  ASSERT_EQ(other.packets.size(), 1u);
+  EXPECT_EQ(other.packets[0].flow, 3u);
+  // Released pipes are reused last first; then fresh ids follow.
+  sched.release_pipe(b);
+  sched.release_pipe(c);
+  EXPECT_EQ(sched.register_pipe(other), c);
+  EXPECT_EQ(sched.register_pipe(other), b);
+  EXPECT_EQ(sched.register_pipe(other), 2u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+#ifndef NDEBUG
+TEST(SchedulerDeathTest, ReleasingANonEmptyPipeAsserts) {
+  EXPECT_DEATH(
+      {
+        Scheduler sched;
+        CollectingSink sink{sched};
+        const Scheduler::PipeId pipe = sched.register_pipe(sink);
+        sched.schedule_delivery_at(Time::ms(1), pipe, make_data(1, 100));
+        sched.release_pipe(pipe);
+      },
+      "only an empty pipe");
+}
+#endif
 
 TEST(PacketPool, ReferenceSurvivesAcquiringManyBlocksMore) {
   // A sink may acquire handles (an ACK turned around) while it still reads
@@ -451,6 +502,66 @@ TEST(Demux, DeregisterStopsRouting) {
   demux.deliver(make_data(1, 100));
   EXPECT_TRUE(a.packets.empty());
   EXPECT_EQ(demux.unroutable_packets(), 1u);
+}
+
+TEST(Demux, MatchesHashMapModelUnderChurn) {
+  // Random register, overwrite, deregister and deliver against an
+  // std::unordered_map model. Ids come from dense ranges like the
+  // scenarios' (flows from 1, short flows from 100000, CBR from 900000),
+  // from the top of FlowId and from scattered ids, so probe runs form, wrap
+  // around the table and are cut by deregistrations; a few hundred routes
+  // are live at a time.
+  struct CountingSink : PacketSink {
+    std::vector<FlowId> got;
+    void deliver(const Packet& pkt) override { got.push_back(pkt.flow); }
+  };
+  std::vector<CountingSink> sinks(5);
+  std::vector<std::vector<FlowId>> expect_got(sinks.size());
+  std::unordered_map<FlowId, std::size_t> model;  // flow -> sink index
+  std::uint64_t expect_unroutable = 0;
+  FlowDemux demux;
+  Rng rng{42};
+  std::vector<FlowId> scattered(64);
+  for (FlowId& f : scattered) f = static_cast<FlowId>(rng.uniform_int(0, 0xFFFF'FFFFll));
+  const auto draw_id = [&]() -> FlowId {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return static_cast<FlowId>(rng.uniform_int(0, 60));
+      case 1: return static_cast<FlowId>(100000 + rng.uniform_int(0, 400));
+      case 2: return static_cast<FlowId>(900000 + rng.uniform_int(0, 40));
+      case 3: return static_cast<FlowId>(0xFFFF'FFFFu - rng.uniform_int(0, 20));
+      default: return scattered[static_cast<std::size_t>(rng.uniform_int(0, 63))];
+    }
+  };
+  for (int step = 0; step < 200'000; ++step) {
+    const FlowId id = draw_id();
+    const auto op = rng.uniform_int(0, 9);
+    if (op < 3) {  // register, or overwrite a registered id
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 4));
+      demux.register_flow(id, sinks[k]);
+      model[id] = k;
+    } else if (op < 6) {
+      demux.deregister_flow(id);
+      model.erase(id);
+    } else {
+      demux.deliver(make_data(id, 100));
+      if (auto it = model.find(id); it != model.end()) {
+        expect_got[it->second].push_back(id);
+      } else {
+        ++expect_unroutable;
+      }
+    }
+    const auto it = model.find(id);
+    ASSERT_EQ(demux.route(id), it == model.end() ? nullptr : &sinks[it->second])
+        << "step " << step << ", flow " << id;
+    ASSERT_EQ(demux.size(), model.size()) << "step " << step;
+    if (step % 5'000 == 0) {
+      for (const auto& [flow, k] : model) ASSERT_EQ(demux.route(flow), &sinks[k]);
+    }
+  }
+  for (std::size_t k = 0; k < sinks.size(); ++k) EXPECT_EQ(sinks[k].got, expect_got[k]);
+  EXPECT_EQ(demux.unroutable_packets(), expect_unroutable);
+  EXPECT_GT(expect_unroutable, 10'000u);
+  EXPECT_GT(model.size(), 100u);
 }
 
 // --- rate traces ---

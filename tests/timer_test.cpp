@@ -283,6 +283,10 @@ struct TimerRun {
   std::vector<LogLine> log;
   std::deque<Slot> slots;  // stable addresses: the timers hold pointers
   std::deque<Timer<&Slot::on_timer>> timers;
+  std::size_t drivers_fired{0};
+  std::uint64_t entry_checks{0};
+  std::uint64_t entry_mismatches{0};
+  std::uint32_t max_timer_entries{0};
 
   explicit TimerRun(const Script& s) : script{s} {
     for (int t = 0; t < kTimers; ++t) {
@@ -295,6 +299,8 @@ struct TimerRun {
   }
   static void on_driver(void* ctx, std::uint64_t d) {
     auto& r = *static_cast<TimerRun*>(ctx);
+    ++r.drivers_fired;
+    r.check_entries();
     r.log.emplace_back(static_cast<int>(d), r.sched.now());
     for (const Op& op : r.script.ops[d]) {
       auto& timer = r.timers[static_cast<std::size_t>(op.timer)];
@@ -303,7 +309,20 @@ struct TimerRun {
       } else {
         timer.arm(r.sched.now() + op.delay);
       }
+      r.check_entries();
     }
+  }
+  /// The heap holds exactly the unfired drivers plus every timer's
+  /// entries(), superseded ones included (the running event's vacant root
+  /// slot is neither).
+  void check_entries() {
+    std::size_t sum = script.driver_at.size() - drivers_fired;
+    for (const auto& t : timers) {
+      sum += t.entries();
+      max_timer_entries = std::max(max_timer_entries, t.entries());
+    }
+    ++entry_checks;
+    if (sum != sched.heap_entries()) ++entry_mismatches;
   }
   [[nodiscard]] std::uint64_t idle_wakeups() const {
     std::uint64_t n = 0;
@@ -317,7 +336,9 @@ void TimerRun::Slot::on_timer() {
   run->log.emplace_back(-(index + 1), now);
   auto& timer = run->timers[static_cast<std::size_t>(index)];
   EXPECT_FALSE(timer.armed()) << "a timer is disarmed while its callback runs";
+  run->check_entries();
   if (fires++ < kRearmsInCallback) timer.arm(now + callback_rearm_delay(index, fires));
+  run->check_entries();
 }
 
 /// Seeded random arm / disarm / re-arm at random times, sooner and later,
@@ -345,6 +366,31 @@ TEST(Timer, MatchesEagerRearmModel) {
   // The script exercises both paths heavily.
   EXPECT_GT(callbacks, 1000u);
   EXPECT_GT(idle, 1000u);
+}
+
+/// Timer::entries() is what makes a timer's owner safe to destroy
+/// mid-run (a retired short flow), so it must count every heap entry that
+/// points at the timer, superseded ones included: on the randomized
+/// script, the sum over all timers plus the unfired drivers equals
+/// heap_entries() inside every callback, around every arm and disarm, and
+/// between 1 ms steps (every event in the script falls on the 1 ms grid).
+TEST(Timer, EntriesSumToHeapEntries) {
+  std::uint32_t max_entries = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Script script = make_script(seed, 200);
+    TimerRun run{script};
+    run.check_entries();
+    for (int ms = 0; ms <= 400; ++ms) {
+      run.sched.run_until(Time::ms(ms));
+      run.check_entries();
+    }
+    EXPECT_EQ(run.entry_mismatches, 0u) << "seed " << seed << ", of " << run.entry_checks;
+    EXPECT_EQ(run.sched.heap_entries(), 0u) << "seed " << seed;
+    for (const auto& t : run.timers) EXPECT_EQ(t.entries(), 0u) << "seed " << seed;
+    max_entries = std::max(max_entries, run.max_timer_entries);
+  }
+  // Sooner arms stacked entries on one timer, not just one live entry.
+  EXPECT_GE(max_entries, 3u);
 }
 
 }  // namespace
