@@ -18,15 +18,20 @@
 #          flow, CCA, Nimbus and util — whose SACK-scoreboard cursors,
 #          reassembly buffer and windowed min/max deques do too, as does
 #          util::BlockDeque, the block container behind every per-packet
-#          queue (test_util's model test drives it against std::deque) — and
+#          queue (test_util's model test drives it against std::deque), and
+#          util::FlatMap, the key table behind the demux, DRR and per-user
+#          isolation (FlatMap.MatchesHashMapModelUnderChurn drives it
+#          against std::unordered_map) — and
 #          the `queue` suites: the qdisc unit tests, the every-qdisc property
 #          sweep, HFQ and the DCTCP/ECN marking tests, whose bucket lists,
-#          buffer-stealing scan and shared PacketFifo do as well). The
+#          buffer-stealing scans and shared PacketFifo do as well; DRR's
+#          slot reuse is driven by the property sweep's drr_steal case and
+#          DrrFairQueue.BufferStealingMatchesFullScanUnderChurn). The
 #          finished-flow retirement tests run here too: a heap entry the
 #          retirement rule missed shows up as a heap-use-after-free, not as
 #          a wrong number. They are Timer.EntriesSumToHeapEntries
-#          (test_timer), Scheduler.ReleasedPipeIsReusedForItsNewSink and
-#          Demux.MatchesHashMapModelUnderChurn (test_sim),
+#          (test_timer), Scheduler.ReleasedPipeIsReusedForItsNewSink
+#          (test_sim), FlatMap.MatchesHashMapModelUnderChurn (test_util),
 #          ShortFlowWorkload.RetiresFinishedFlowsWithoutMovingTheRun and
 #          TcpFlow.QuiescentWaitsForEveryTimerEntryAndTheReversePipe
 #          (test_flow), and Allocations.ShortFlowChurnHoldsLiveFlowsNotArrivals

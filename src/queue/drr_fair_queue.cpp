@@ -1,35 +1,31 @@
 #include "queue/drr_fair_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ccc::queue {
 
 DrrFairQueue::DrrFairQueue(ByteCount capacity_bytes, FairnessKey key, ByteCount quantum_bytes)
-    : DrrFairQueue{capacity_bytes,
-                   key == FairnessKey::kPerFlow
-                       ? KeyFn{[](const sim::Packet& p) { return std::uint64_t{p.flow}; }}
-                       : KeyFn{[](const sim::Packet& p) { return std::uint64_t{p.user}; }},
-                   quantum_bytes} {}
-
-DrrFairQueue::DrrFairQueue(ByteCount capacity_bytes, KeyFn key_fn, ByteCount quantum_bytes)
-    : capacity_bytes_{capacity_bytes}, key_fn_{std::move(key_fn)}, quantum_{quantum_bytes} {
+    : capacity_bytes_{capacity_bytes}, fairness_{key}, quantum_{quantum_bytes} {
   assert(capacity_bytes_ > 0 && quantum_ > 0);
-  assert(key_fn_ != nullptr);
 }
 
-std::uint64_t DrrFairQueue::key_of(const sim::Packet& pkt) const { return key_fn_(pkt); }
-
 bool DrrFairQueue::enqueue(const sim::Packet& pkt, Time now) {
-  auto& q = queues_[key_of(pkt)];
-  q.pkts.push(pkt, now);
+  const std::uint64_t key = fairness_ == FairnessKey::kPerFlow ? pkt.flow : pkt.user;
+  const auto next = static_cast<std::uint32_t>(free_.empty() ? queues_.size() : free_.back());
+  const auto [slot, inserted] = slots_.try_emplace(key, next);
+  if (inserted) {
+    if (free_.empty()) {
+      queues_.emplace_back();
+    } else {
+      free_.pop_back();
+    }
+    queues_[next].key = key;
+    active_.push_back(next);
+  }
+  queues_[*slot].pkts.push(pkt, now);
   backlog_bytes_ += pkt.size_bytes;
   ++backlog_packets_;
   ++stats_.enqueued_packets;  // offered == admitted here: DRR evicts after admitting
-  if (!q.active) {
-    q.active = true;
-    active_.push_back(key_of(pkt));
-  }
   bool admitted = true;
   while (backlog_bytes_ > capacity_bytes_) {
     drop_from_longest();
@@ -39,42 +35,50 @@ bool DrrFairQueue::enqueue(const sim::Packet& pkt, Time now) {
 }
 
 void DrrFairQueue::drop_from_longest() {
-  // Find the longest sub-queue by bytes and drop its tail packet. This keeps
-  // a flooding flow from starving well-behaved ones of buffer space.
-  std::uint64_t victim = 0;
-  ByteCount longest = -1;
-  for (const auto& [key, q] : queues_) {
-    if (q.pkts.bytes() > longest) {
-      longest = q.pkts.bytes();
-      victim = key;
+  // Drop the longest sub-queue's tail. This keeps a flooding flow from
+  // starving well-behaved ones of buffer space. Every backlogged sub-queue
+  // is in the rotation, so only it is walked; ties go to the highest key,
+  // so the victim never depends on rotation order.
+  SubQueue* victim = nullptr;
+  for (const std::uint32_t slot : active_) {
+    SubQueue& q = queues_[slot];
+    if (victim == nullptr || q.pkts.bytes() > victim->pkts.bytes() ||
+        (q.pkts.bytes() == victim->pkts.bytes() && q.key > victim->key)) {
+      victim = &q;
     }
   }
-  auto& q = queues_.at(victim);
-  assert(!q.pkts.empty());
-  const sim::Packet dropped = q.pkts.pop_back();
+  assert(victim != nullptr && !victim->pkts.empty());
+  const sim::Packet dropped = victim->pkts.pop_back();
   backlog_bytes_ -= dropped.size_bytes;
   --backlog_packets_;
   stats_.record_drop(dropped);
-  // If the victim queue emptied, it will be lazily removed from active_ in
-  // dequeue(); leaving the stale key is harmless.
+  // A sub-queue emptied here keeps its place in the rotation; dequeue()
+  // retires it when it reaches it, unless a new packet refills it first.
+}
+
+void DrrFairQueue::retire_front() {
+  const std::uint32_t slot = active_.front();
+  active_.pop_front();
+  SubQueue& q = queues_[slot];
+  assert(q.pkts.empty());
+  q.deficit = 0;
+  slots_.erase(q.key);
+  free_.push_back(slot);
 }
 
 std::optional<sim::Packet> DrrFairQueue::dequeue(Time /*now*/) {
   while (!active_.empty()) {
-    const std::uint64_t key = active_.front();
-    auto it = queues_.find(key);
-    if (it == queues_.end() || it->second.pkts.empty()) {
-      // Stale entry left by drop_from_longest(); retire it.
-      if (it != queues_.end()) it->second.active = false;
-      active_.pop_front();
+    const std::uint32_t slot = active_.front();
+    SubQueue& q = queues_[slot];
+    if (q.pkts.empty()) {  // emptied by buffer stealing
+      retire_front();
       continue;
     }
-    SubQueue& q = it->second;
     if (q.deficit < q.pkts.front().size_bytes) {
       // Out of deficit: replenish and move to the back of the rotation.
       q.deficit += quantum_;
       active_.pop_front();
-      active_.push_back(key);
+      active_.push_back(slot);
       continue;
     }
     sim::Packet pkt = q.pkts.pop_front();
@@ -82,12 +86,7 @@ std::optional<sim::Packet> DrrFairQueue::dequeue(Time /*now*/) {
     backlog_bytes_ -= pkt.size_bytes;
     --backlog_packets_;
     ++stats_.dequeued_packets;
-    if (q.pkts.empty()) {
-      // Per DRR: an emptied queue forfeits its deficit and leaves the list.
-      q.deficit = 0;
-      q.active = false;
-      active_.pop_front();
-    }
+    if (q.pkts.empty()) retire_front();
     return pkt;
   }
   return std::nullopt;

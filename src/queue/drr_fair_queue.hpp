@@ -9,13 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "queue/packet_fifo.hpp"
 #include "sim/qdisc.hpp"
 #include "util/block_deque.hpp"
+#include "util/flat_map.hpp"
 
 namespace ccc::queue {
 
@@ -27,17 +26,11 @@ enum class FairnessKey {
 
 class DrrFairQueue : public sim::Qdisc {
  public:
-  /// Maps a packet to the sub-queue it belongs to.
-  using KeyFn = std::function<std::uint64_t(const sim::Packet&)>;
-
   /// `capacity_bytes`: shared buffer across all sub-queues; when exceeded the
-  /// longest sub-queue's tail is dropped (buffer stealing, as in fq_codel).
-  /// `quantum_bytes`: DRR quantum, typically one MTU.
+  /// tail of the longest sub-queue is dropped (buffer stealing, as in
+  /// fq_codel), the highest key losing a tie. `quantum_bytes`: DRR quantum,
+  /// typically one MTU.
   DrrFairQueue(ByteCount capacity_bytes, FairnessKey key, ByteCount quantum_bytes = 1514);
-
-  /// Same, with an arbitrary classification function (used by SFQ to key on
-  /// a hash bucket). Precondition: key_fn is callable.
-  DrrFairQueue(ByteCount capacity_bytes, KeyFn key_fn, ByteCount quantum_bytes = 1514);
 
   bool enqueue(const sim::Packet& pkt, Time now) override;
   std::optional<sim::Packet> dequeue(Time now) override;
@@ -45,26 +38,34 @@ class DrrFairQueue : public sim::Qdisc {
   [[nodiscard]] ByteCount backlog_bytes() const override { return backlog_bytes_; }
   [[nodiscard]] std::size_t backlog_packets() const override { return backlog_packets_; }
 
-  /// Number of distinct sub-queues currently backlogged.
+  /// Sub-queues in the round-robin rotation: every backlogged one, plus any
+  /// that buffer stealing emptied and dequeue has not reached yet.
   [[nodiscard]] std::size_t active_queues() const { return active_.size(); }
 
  private:
   struct SubQueue {
+    std::uint64_t key{0};
     PacketFifo pkts;
     ByteCount deficit{0};
-    bool active{false};
   };
 
-  [[nodiscard]] std::uint64_t key_of(const sim::Packet& pkt) const;
+  /// Buffer stealing: drop the tail of the longest sub-queue (most bytes,
+  /// highest key on ties). O(sub-queues in the rotation).
   void drop_from_longest();
+  /// Takes the emptied sub-queue at the front of the rotation out of it. Per
+  /// DRR it forfeits its deficit; its key is unmapped and its slot reused.
+  void retire_front();
 
   ByteCount capacity_bytes_;
-  KeyFn key_fn_;
+  FairnessKey fairness_;
   ByteCount quantum_;
   ByteCount backlog_bytes_{0};
   std::size_t backlog_packets_{0};
-  std::unordered_map<std::uint64_t, SubQueue> queues_;
-  util::BlockDeque<std::uint64_t> active_;  // round-robin order of backlogged keys
+  // A key is mapped to a slot exactly while its sub-queue is in active_.
+  std::vector<SubQueue> queues_;
+  util::FlatMap<std::uint32_t> slots_;  // key -> index in queues_
+  std::vector<std::uint32_t> free_;     // unmapped slots
+  util::BlockDeque<std::uint32_t> active_;  // round-robin order of slots
 };
 
 }  // namespace ccc::queue

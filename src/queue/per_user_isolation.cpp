@@ -15,21 +15,21 @@ PerUserIsolation::PerUserIsolation(Rate default_contract, ByteCount burst_bytes,
 
 void PerUserIsolation::set_contract(sim::UserId user, Rate rate) {
   assert(rate.to_bps() > 0.0);
-  contracts_[user] = rate;
+  contracts_.insert_or_assign(user, rate);
   // If the user's queue already exists its bucket keeps the old rate; in our
   // scenarios contracts are set before traffic starts, so assert that.
-  assert(!users_.contains(user) && "set_contract must precede the user's first packet");
+  assert(!slots_.contains(user) && "set_contract must precede the user's first packet");
 }
 
 PerUserIsolation::UserQueue& PerUserIsolation::queue_for(sim::UserId user) {
-  auto it = users_.find(user);
-  if (it == users_.end()) {
-    const auto c = contracts_.find(user);
-    const Rate rate = c == contracts_.end() ? default_contract_ : c->second;
-    it = users_.emplace(user, UserQueue{TokenBucket{rate, burst_}}).first;
-    rr_order_.push_back(user);
+  const auto [slot, inserted] =
+      slots_.try_emplace(user, static_cast<std::uint32_t>(users_.size()));
+  if (inserted) {
+    const Rate* contract = contracts_.find(user);
+    users_.emplace_back(TokenBucket{contract != nullptr ? *contract : default_contract_, burst_});
+    rr_order_.push_back(*slot);
   }
-  return it->second;
+  return users_[*slot];
 }
 
 bool PerUserIsolation::enqueue(const sim::Packet& pkt, Time now) {
@@ -49,10 +49,10 @@ std::optional<sim::Packet> PerUserIsolation::dequeue(Time now) {
   // One full rotation over users, starting at the round-robin cursor; serve
   // the first user whose head packet conforms to their contract.
   for (std::size_t scanned = 0; scanned < rr_order_.size(); ++scanned) {
-    const sim::UserId user = rr_order_.front();
+    const std::uint32_t slot = rr_order_.front();
     rr_order_.pop_front();
-    rr_order_.push_back(user);
-    UserQueue& q = users_.at(user);
+    rr_order_.push_back(slot);
+    UserQueue& q = users_[slot];
     if (q.pkts.empty()) continue;
     if (!q.bucket.conforms(q.pkts.front().size_bytes, now)) continue;
     sim::Packet pkt = q.pkts.pop_front();
@@ -67,7 +67,7 @@ std::optional<sim::Packet> PerUserIsolation::dequeue(Time now) {
 
 Time PerUserIsolation::next_ready(Time now) const {
   Time earliest = Time::never();
-  for (auto& [user, q] : users_) {
+  for (UserQueue& q : users_) {
     if (q.pkts.empty()) continue;
     const Time t = q.bucket.available_at(q.pkts.front().size_bytes, now);
     earliest = std::min(earliest, t);

@@ -9,12 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "queue/packet_fifo.hpp"
 #include "queue/token_bucket.hpp"
 #include "sim/qdisc.hpp"
 #include "util/block_deque.hpp"
+#include "util/flat_map.hpp"
 
 namespace ccc::queue {
 
@@ -49,9 +50,10 @@ class PerUserIsolation : public sim::Qdisc {
   ByteCount per_user_capacity_;
   ByteCount backlog_bytes_{0};
   std::size_t backlog_packets_{0};
-  std::unordered_map<sim::UserId, Rate> contracts_;
-  mutable std::unordered_map<sim::UserId, UserQueue> users_;  // buckets refill in next_ready
-  util::BlockDeque<sim::UserId> rr_order_;
+  util::FlatMap<Rate> contracts_;
+  util::FlatMap<std::uint32_t> slots_;        // user -> index in users_
+  mutable std::vector<UserQueue> users_;      // buckets refill in next_ready
+  util::BlockDeque<std::uint32_t> rr_order_;  // round-robin order of slots
 };
 
 }  // namespace ccc::queue

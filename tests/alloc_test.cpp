@@ -4,7 +4,7 @@
 // scoreboard and delivery history, FQ-CoDel's bucket lists) keeps its
 // storage across packets, so once a scenario has warmed up, moving a packet
 // through the simulator should not call the allocator. This binary replaces
-// the global operator new with a counting one, runs three dumbbells past
+// the global operator new with a counting one, runs five dumbbells past
 // their warm-up, and bounds the allocations made per packet the bottleneck
 // link serializes. A regression that allocates per packet or per few
 // packets (a node-based list, a deque that frees and re-allocates blocks as
@@ -28,6 +28,7 @@
 #include "cca/cubic.hpp"
 #include "core/cca_registry.hpp"
 #include "core/dumbbell.hpp"
+#include "queue/drr_fair_queue.hpp"
 #include "queue/fq_codel.hpp"
 #include "util/block_deque.hpp"
 
@@ -151,6 +152,19 @@ TEST(Allocations, BbrAndFourCubicOverFqCoDel) {
                              std::make_unique<queue::FqCoDelQueue>(core::dumbbell_buffer_bytes(cfg))};
   add_bbr_and_four_cubic(net);
   EXPECT_LE(allocations_per_packet(net, Time::sec(5.0), Time::sec(10.0), "bbr+4cubic/fq_codel"),
+            kMaxAllocationsPerPacket);
+}
+
+TEST(Allocations, BbrAndFourCubicOverDrr) {
+  // fig4's fq-flow row: per-flow DRR. Its sub-queues live in one vector,
+  // found through a flat key table, and a sub-queue that empties hands its
+  // slot, FIFO block included, to the next key that arrives.
+  const core::DumbbellConfig cfg = fig4_link();
+  core::DumbbellScenario net{cfg, std::make_unique<queue::DrrFairQueue>(
+                                      core::dumbbell_buffer_bytes(cfg),
+                                      queue::FairnessKey::kPerFlow)};
+  add_bbr_and_four_cubic(net);
+  EXPECT_LE(allocations_per_packet(net, Time::sec(5.0), Time::sec(10.0), "bbr+4cubic/drr"),
             kMaxAllocationsPerPacket);
 }
 

@@ -23,7 +23,6 @@
 #include "queue/hierarchical_fq.hpp"
 #include "queue/per_user_isolation.hpp"
 #include "queue/pie.hpp"
-#include "queue/sfq.hpp"
 #include "queue/token_bucket.hpp"
 #include "util/rng.hpp"
 
@@ -60,7 +59,10 @@ class QdiscConservation : public ::testing::TestWithParam<int> {
          [] {
            return std::make_unique<queue::DrrFairQueue>(50'000, queue::FairnessKey::kPerUser);
          }},
-        {"sfq", [] { return std::make_unique<queue::SfqQueue>(50'000, 8, 3); }},
+        // A buffer of a few packets: DRR steals on most arrivals, and its
+        // sub-queues empty and their slots are reused all the time.
+        {"drr_steal",
+         [] { return std::make_unique<queue::DrrFairQueue>(6'000, queue::FairnessKey::kPerFlow); }},
         {"tbf", [] { return std::make_unique<queue::TokenBucketShaper>(Rate::mbps(10), 5'000,
                                                                        50'000); }},
         {"policer",

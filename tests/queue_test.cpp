@@ -17,7 +17,6 @@
 #include "queue/packet_fifo.hpp"
 #include "queue/per_user_isolation.hpp"
 #include "queue/pie.hpp"
-#include "queue/sfq.hpp"
 #include "queue/token_bucket.hpp"
 #include "runner/experiment_runner.hpp"
 #include "util/rng.hpp"
@@ -85,9 +84,9 @@ TEST(PacketFifo, MatchesDequeModelUnderRandomOps) {
 // ---------- splitmix64 users ----------
 
 TEST(SplitMix64, PinsSeedsAndBucketMaps) {
-  // Golden values: the sweep's per-cell seeds and the SFQ / FQ-CoDel
-  // flow->bucket maps all derive from util::splitmix64, and any change to
-  // them moves figure bytes.
+  // Golden values: the sweep's per-cell seeds and the FQ-CoDel flow->bucket
+  // map all derive from util::splitmix64, and any change to them moves
+  // figure bytes.
   EXPECT_EQ(util::splitmix64(0), 0xe220a8397b1dcdafULL);
   EXPECT_EQ(runner::derive_seed(0, 0), 0xe220a8397b1dcdafULL);
   EXPECT_EQ(runner::derive_seed(42, 0), 0xbdd732262feb6e95ULL);
@@ -99,14 +98,11 @@ TEST(SplitMix64, PinsSeedsAndBucketMaps) {
   cfg.capacity_bytes = 10'000;
   cfg.hash_seed = 7;
   const FqCoDelQueue fq{cfg};
-  const SfqQueue sfq{10'000, 64, 11};
-  const std::vector<std::pair<sim::FlowId, std::pair<std::uint32_t, std::uint32_t>>> golden{
-      {0, {471, 29}}, {1, {0, 10}},     {2, {858, 36}},
-      {3, {714, 54}}, {1000, {389, 12}}, {4'000'000'000u, {76, 27}},
+  const std::vector<std::pair<sim::FlowId, std::uint32_t>> golden{
+      {0, 471}, {1, 0}, {2, 858}, {3, 714}, {1000, 389}, {4'000'000'000u, 76},
   };
-  for (const auto& [flow, buckets] : golden) {
-    EXPECT_EQ(fq.bucket_of(flow), buckets.first) << "flow " << flow;
-    EXPECT_EQ(sfq.bucket_of(flow), buckets.second) << "flow " << flow;
+  for (const auto& [flow, bucket] : golden) {
+    EXPECT_EQ(fq.bucket_of(flow), bucket) << "flow " << flow;
   }
 }
 
@@ -230,50 +226,120 @@ TEST(DrrFairQueue, EmptyQueueForfeitsDeficit) {
   EXPECT_EQ(q.backlog_packets(), 0u);
 }
 
-// ---------- SFQ ----------
-
-TEST(Sfq, BucketMappingIsStable) {
-  SfqQueue q{1 << 20, 16, /*seed=*/42};
-  EXPECT_EQ(q.bucket_of(123), q.bucket_of(123));
-  // Different perturbation seed gives (almost surely) different mapping for
-  // at least one of a handful of flows.
-  SfqQueue q2{1 << 20, 16, /*seed=*/43};
-  bool any_differ = false;
-  for (sim::FlowId f = 1; f <= 32; ++f) any_differ |= q.bucket_of(f) != q2.bucket_of(f);
-  EXPECT_TRUE(any_differ);
+TEST(DrrFairQueue, QueueEmptiedByStealingForfeitsDeficit) {
+  // Flow 1 is served once (514 bytes of deficit left), then buffer stealing
+  // takes its last packet. When it sends again it must start from zero
+  // deficit, like a queue that dequeue emptied: behind flow 4, which went
+  // active just before it, it gets no packet out first.
+  DrrFairQueue q{2'500, FairnessKey::kPerFlow, 1514};
+  q.enqueue(pkt(1, 1000), Time::zero());
+  q.enqueue(pkt(1, 1000), Time::zero());
+  ASSERT_EQ(q.dequeue(Time::zero())->flow, 1u);
+  q.enqueue(pkt(2, 900), Time::zero());
+  q.enqueue(pkt(3, 900), Time::zero());  // 2,800 bytes: flow 1 (longest) loses its packet
+  ASSERT_EQ(q.stats().dropped_packets, 1u);
+  ASSERT_EQ(q.dequeue(Time::zero())->flow, 2u);
+  ASSERT_EQ(q.dequeue(Time::zero())->flow, 3u);
+  ASSERT_EQ(q.active_queues(), 0u);
+  q.enqueue(pkt(4, 1000), Time::zero());
+  q.enqueue(pkt(1, 500), Time::zero());
+  // Both start a round short of deficit; flow 4 is ahead in the rotation.
+  EXPECT_EQ(q.dequeue(Time::zero())->flow, 4u);
+  EXPECT_EQ(q.dequeue(Time::zero())->flow, 1u);
 }
 
-TEST(Sfq, SeparatesNonCollidingFlows) {
-  SfqQueue q{1 << 20, 1024, 7};
-  // Find two flows in different buckets.
-  sim::FlowId a = 1;
-  sim::FlowId b = 2;
-  while (q.bucket_of(a) == q.bucket_of(b)) ++b;
-  for (int i = 0; i < 4; ++i) {
-    q.enqueue(pkt(a, 1000), Time::zero());
-    q.enqueue(pkt(a, 1000), Time::zero());
-    q.enqueue(pkt(b, 1000), Time::zero());
+TEST(DrrFairQueue, BufferStealingTieGoesToHighestKey) {
+  // Flows 3 and 5 hold equal bytes when the buffer overflows. Whichever of
+  // them went active first (and so sits first in the rotation), the higher
+  // key pays.
+  for (const bool hi_first : {true, false}) {
+    DrrFairQueue q{4'000, FairnessKey::kPerFlow, 1514};
+    for (const sim::FlowId f : hi_first ? std::vector<sim::FlowId>{5, 3}
+                                        : std::vector<sim::FlowId>{3, 5}) {
+      q.enqueue(pkt(f, 1000), Time::zero());
+      q.enqueue(pkt(f, 1000), Time::zero());
+    }
+    q.enqueue(pkt(9, 100), Time::zero());  // 4,100 bytes: one steal
+    EXPECT_EQ(q.stats().dropped_packets, 1u);
+    std::map<sim::FlowId, int> left;
+    while (auto out = q.dequeue(Time::zero())) ++left[out->flow];
+    EXPECT_EQ(left[3], 2) << "hi_first=" << hi_first;
+    EXPECT_EQ(left[5], 1) << "hi_first=" << hi_first;
+    EXPECT_EQ(left[9], 1) << "hi_first=" << hi_first;
   }
-  // Fair service: the first 6 dequeues contain 3 of each despite a's 2:1
-  // enqueue ratio.
-  int na = 0;
-  for (int i = 0; i < 6; ++i) {
-    auto p = q.dequeue(Time::zero());
-    ASSERT_TRUE(p.has_value());
-    na += p->flow == a;
-  }
-  EXPECT_EQ(na, 3);
 }
 
-TEST(Sfq, CollidingFlowsShareOneQueue) {
-  SfqQueue q{1 << 20, 1, 7};  // one bucket: everyone collides
-  q.enqueue(pkt(1, 1000), Time::zero());
-  q.enqueue(pkt(2, 1000), Time::zero());
-  q.enqueue(pkt(1, 1000), Time::zero());
-  // FIFO within the single bucket.
-  EXPECT_EQ(q.dequeue(Time::zero())->flow, 1u);
-  EXPECT_EQ(q.dequeue(Time::zero())->flow, 2u);
-  EXPECT_EQ(q.dequeue(Time::zero())->flow, 1u);
+TEST(DrrFairQueue, BufferStealingMatchesFullScanUnderChurn) {
+  // Seeded random enqueue/dequeue churn through a small shared buffer,
+  // checked against a model that keeps every key's FIFO and picks each
+  // steal victim by a scan over every key ever seen (most bytes, highest
+  // key on ties). A wrong victim leaves a packet in the model that the
+  // queue no longer holds: a later dequeue then misses the model's head
+  // for its key. Keys come and go, so sub-queue slots are reused.
+  Rng rng{2026};
+  for (const FairnessKey mode : {FairnessKey::kPerFlow, FairnessKey::kPerUser}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const ByteCount capacity = rng.uniform_int(2'000, 12'000);
+      DrrFairQueue q{capacity, mode, 1514};
+      std::map<std::uint64_t, std::deque<sim::Packet>> model;  // every key ever seen
+      std::map<std::uint64_t, ByteCount> model_bytes;
+      ByteCount model_backlog = 0;
+      std::uint64_t model_drops = 0;
+      const auto key_of = [&](const sim::Packet& p) -> std::uint64_t {
+        return mode == FairnessKey::kPerFlow ? p.flow : p.user;
+      };
+      const auto n_keys = rng.uniform_int(2, 12);
+      // Whole-kilobyte sizes in half the trials make equal-byte ties common.
+      const bool coarse = trial % 2 == 0;
+      const auto check_dequeue = [&] {
+        auto out = q.dequeue(Time::zero());
+        if (model_backlog == 0) {
+          ASSERT_FALSE(out.has_value());
+          return;
+        }
+        ASSERT_TRUE(out.has_value());
+        auto& fifo = model[key_of(*out)];
+        ASSERT_FALSE(fifo.empty());
+        ASSERT_EQ(out->seq, fifo.front().seq) << "key " << key_of(*out);
+        model_bytes[key_of(*out)] -= fifo.front().size_bytes;
+        model_backlog -= fifo.front().size_bytes;
+        fifo.pop_front();
+      };
+      std::int64_t next_seq = 0;
+      for (int op = 0; op < 600; ++op) {
+        if (rng.chance(0.35)) {
+          ASSERT_NO_FATAL_FAILURE(check_dequeue()) << "trial " << trial << " op " << op;
+        } else {
+          // User k sends on flows k, k + 100 and k + 200.
+          const auto k = rng.uniform_int(1, n_keys);
+          const ByteCount size = coarse ? 1000 * rng.uniform_int(1, 3) : rng.uniform_int(64, 1500);
+          auto p = pkt(static_cast<sim::FlowId>(k + 100 * rng.uniform_int(0, 2)), size,
+                       static_cast<sim::UserId>(k));
+          p.seq = next_seq++;
+          q.enqueue(p, Time::zero());
+          model[key_of(p)].push_back(p);
+          model_bytes[key_of(p)] += size;
+          model_backlog += size;
+          while (model_backlog > capacity) {
+            std::uint64_t longest = model_bytes.begin()->first;
+            for (const auto& [key, bytes] : model_bytes) {
+              if (bytes >= model_bytes[longest]) longest = key;  // ascending: ties go high
+            }
+            model_bytes[longest] -= model[longest].back().size_bytes;
+            model_backlog -= model[longest].back().size_bytes;
+            model[longest].pop_back();
+            ++model_drops;
+          }
+        }
+        ASSERT_EQ(q.stats().dropped_packets, model_drops) << "trial " << trial;
+        ASSERT_EQ(q.backlog_bytes(), model_backlog) << "trial " << trial;
+      }
+      while (model_backlog > 0) ASSERT_NO_FATAL_FAILURE(check_dequeue());
+      ASSERT_NO_FATAL_FAILURE(check_dequeue());  // and the queue is empty too
+      EXPECT_EQ(q.active_queues(), 0u);
+      EXPECT_GT(model_drops, 0u) << "trial " << trial;
+    }
+  }
 }
 
 // ---------- CoDel ----------
@@ -492,11 +558,6 @@ TEST(Conservation, DrrFairQueue) {
   drive_and_check(q, "drr");
 }
 
-TEST(Conservation, Sfq) {
-  SfqQueue q{20'000, 16, /*seed=*/7};
-  drive_and_check(q, "sfq");
-}
-
 TEST(Conservation, TokenBucketShaper) {
   TokenBucketShaper q{Rate::mbps(8), 2000, 20'000};
   drive_and_check(q, "tbf");
@@ -693,6 +754,23 @@ TEST(FqCoDel, SingleBucketMatchesCoDel) {
   EXPECT_GT(compared, 10'000u);
   EXPECT_GT(cs.dropped_packets, 0u);
   EXPECT_GT(cs.ecn_marked_packets, 0u);
+}
+
+TEST(FqCoDel, HashSeedChangesBucketMap) {
+  // The same flow always lands in the same bucket, and a different
+  // hash_seed gives (almost surely) a different map for at least one of a
+  // handful of flows.
+  FqCoDelConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  cfg.n_queues = 16;
+  cfg.hash_seed = 42;
+  const FqCoDelQueue q{cfg};
+  cfg.hash_seed = 43;
+  const FqCoDelQueue q2{cfg};
+  EXPECT_EQ(q.bucket_of(123), q.bucket_of(123));
+  bool any_differ = false;
+  for (sim::FlowId f = 1; f <= 32; ++f) any_differ |= q.bucket_of(f) != q2.bucket_of(f);
+  EXPECT_TRUE(any_differ);
 }
 
 TEST(FqCoDel, BufferStealingDropsFromFattestQueue) {

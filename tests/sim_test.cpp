@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "closure_events.hpp"
@@ -502,66 +501,6 @@ TEST(Demux, DeregisterStopsRouting) {
   demux.deliver(make_data(1, 100));
   EXPECT_TRUE(a.packets.empty());
   EXPECT_EQ(demux.unroutable_packets(), 1u);
-}
-
-TEST(Demux, MatchesHashMapModelUnderChurn) {
-  // Random register, overwrite, deregister and deliver against an
-  // std::unordered_map model. Ids come from dense ranges like the
-  // scenarios' (flows from 1, short flows from 100000, CBR from 900000),
-  // from the top of FlowId and from scattered ids, so probe runs form, wrap
-  // around the table and are cut by deregistrations; a few hundred routes
-  // are live at a time.
-  struct CountingSink : PacketSink {
-    std::vector<FlowId> got;
-    void deliver(const Packet& pkt) override { got.push_back(pkt.flow); }
-  };
-  std::vector<CountingSink> sinks(5);
-  std::vector<std::vector<FlowId>> expect_got(sinks.size());
-  std::unordered_map<FlowId, std::size_t> model;  // flow -> sink index
-  std::uint64_t expect_unroutable = 0;
-  FlowDemux demux;
-  Rng rng{42};
-  std::vector<FlowId> scattered(64);
-  for (FlowId& f : scattered) f = static_cast<FlowId>(rng.uniform_int(0, 0xFFFF'FFFFll));
-  const auto draw_id = [&]() -> FlowId {
-    switch (rng.uniform_int(0, 4)) {
-      case 0: return static_cast<FlowId>(rng.uniform_int(0, 60));
-      case 1: return static_cast<FlowId>(100000 + rng.uniform_int(0, 400));
-      case 2: return static_cast<FlowId>(900000 + rng.uniform_int(0, 40));
-      case 3: return static_cast<FlowId>(0xFFFF'FFFFu - rng.uniform_int(0, 20));
-      default: return scattered[static_cast<std::size_t>(rng.uniform_int(0, 63))];
-    }
-  };
-  for (int step = 0; step < 200'000; ++step) {
-    const FlowId id = draw_id();
-    const auto op = rng.uniform_int(0, 9);
-    if (op < 3) {  // register, or overwrite a registered id
-      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 4));
-      demux.register_flow(id, sinks[k]);
-      model[id] = k;
-    } else if (op < 6) {
-      demux.deregister_flow(id);
-      model.erase(id);
-    } else {
-      demux.deliver(make_data(id, 100));
-      if (auto it = model.find(id); it != model.end()) {
-        expect_got[it->second].push_back(id);
-      } else {
-        ++expect_unroutable;
-      }
-    }
-    const auto it = model.find(id);
-    ASSERT_EQ(demux.route(id), it == model.end() ? nullptr : &sinks[it->second])
-        << "step " << step << ", flow " << id;
-    ASSERT_EQ(demux.size(), model.size()) << "step " << step;
-    if (step % 5'000 == 0) {
-      for (const auto& [flow, k] : model) ASSERT_EQ(demux.route(flow), &sinks[k]);
-    }
-  }
-  for (std::size_t k = 0; k < sinks.size(); ++k) EXPECT_EQ(sinks[k].got, expect_got[k]);
-  EXPECT_EQ(demux.unroutable_packets(), expect_unroutable);
-  EXPECT_GT(expect_unroutable, 10'000u);
-  EXPECT_GT(model.size(), 100u);
 }
 
 // --- rate traces ---

@@ -1,4 +1,5 @@
-// Unit tests for util: units, rng, stats, fft, table, monotone max, block deque.
+// Unit tests for util: units, rng, stats, fft, table, monotone max, block deque,
+// flat map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +10,12 @@
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/block_deque.hpp"
 #include "util/fft.hpp"
+#include "util/flat_map.hpp"
 #include "util/monotone_max.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -587,6 +590,62 @@ TEST(BlockDeque, ElementsNeverMove) {
   EXPECT_EQ(q.front().v, 1);
   q = std::move(moved);
   EXPECT_EQ(&q.front(), front);
+}
+
+// ---------- flat map ----------
+
+TEST(FlatMap, MatchesHashMapModelUnderChurn) {
+  // Random insert, overwrite, erase and lookup against an
+  // std::unordered_map model. Keys come from dense ranges like the
+  // scenarios' flow ids (flows from 1, short flows from 100000, CBR from
+  // 900000), from the top of the 64-bit range and from scattered keys, so
+  // probe runs form, wrap around the table and are cut by erasures; a few
+  // hundred keys are live at a time.
+  util::FlatMap<std::uint32_t> map;
+  std::unordered_map<std::uint64_t, std::uint32_t> model;
+  Rng rng{42};
+  std::vector<std::uint64_t> scattered(64);
+  for (std::size_t i = 0; i < scattered.size(); ++i) scattered[i] = util::splitmix64(i);
+  const auto draw_key = [&]() -> std::uint64_t {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return static_cast<std::uint64_t>(rng.uniform_int(0, 60));
+      case 1: return static_cast<std::uint64_t>(100000 + rng.uniform_int(0, 400));
+      case 2: return static_cast<std::uint64_t>(900000 + rng.uniform_int(0, 40));
+      case 3: return ~0ull - static_cast<std::uint64_t>(rng.uniform_int(0, 20));
+      default: return scattered[static_cast<std::size_t>(rng.uniform_int(0, 63))];
+    }
+  };
+  for (int step = 0; step < 200'000; ++step) {
+    const std::uint64_t key = draw_key();
+    const auto value = static_cast<std::uint32_t>(rng.uniform_int(0, 1'000'000));
+    const auto op = rng.uniform_int(0, 9);
+    const auto it = model.find(key);
+    if (op < 2) {  // insert unless present
+      const auto [stored, inserted] = map.try_emplace(key, value);
+      ASSERT_EQ(inserted, it == model.end()) << "step " << step;
+      ASSERT_EQ(*stored, inserted ? value : it->second) << "step " << step;
+      model.emplace(key, value);
+    } else if (op < 3) {  // insert, or overwrite a present key
+      map.insert_or_assign(key, value);
+      model[key] = value;
+    } else if (op < 6) {
+      ASSERT_EQ(map.erase(key), model.erase(key) == 1) << "step " << step;
+    }
+    const auto now = model.find(key);
+    const std::uint32_t* found = map.find(key);
+    ASSERT_EQ(found == nullptr, now == model.end()) << "step " << step << ", key " << key;
+    if (found != nullptr) {
+      ASSERT_EQ(*found, now->second) << "step " << step;
+    }
+    ASSERT_EQ(map.size(), model.size()) << "step " << step;
+    if (step % 5'000 == 0) {
+      for (const auto& [k, v] : model) {
+        ASSERT_TRUE(map.contains(k));
+        ASSERT_EQ(*map.find(k), v);
+      }
+    }
+  }
+  EXPECT_GT(model.size(), 100u);
 }
 
 }  // namespace
