@@ -31,7 +31,9 @@ struct CsvParseStats {
 };
 
 /// Writes a dataset as CSV with a header row. The throughput series is
-/// serialized as a ';'-separated list inside one field.
+/// serialized as a ';'-separated list inside one field. Every double is
+/// written in its shortest round-trip form, so read_csv gives back the
+/// same values bit for bit.
 void write_csv(std::ostream& os, std::span<const NdtRecord> dataset);
 
 /// Writes one data row (no header) — the streaming-export building block.
