@@ -118,14 +118,15 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
   std::ostream& os = cli.output();
   mlab::SyntheticConfig scfg;  // n_flows = 9,984, the paper's query size
   Rng rng{seed};
-  const auto dataset = mlab::generate_dataset(scfg, rng);
+  const unsigned jobs = cli.serial ? 1 : cli.jobs;
+  const auto dataset = mlab::generate_dataset(scfg, rng, jobs);
 
   print_banner(os, "Figure 2 / §3.1: passive NDT analysis (" +
                               std::to_string(dataset.size()) + " flows)");
 
   const auto report = pipeline::run_pipeline(
       pipeline::MemorySource{dataset},
-      {.jobs = cli.serial ? 1 : cli.jobs, .keep_findings = true, .enable_telemetry = false});
+      {.jobs = jobs, .keep_findings = true, .enable_telemetry = false});
   const auto verdict_counts = report.verdict_map();
 
   TextTable verdicts{{"pipeline verdict", "flows", "fraction"}};
@@ -256,7 +257,8 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
       scfg.n_flows *= opt.scale;
       Rng rng{seed};
       mlab::generate_dataset_stream(
-          scfg, rng, [&writer](mlab::NdtRecord&& rec) { writer.append(rec); });
+          scfg, rng, [&writer](mlab::NdtRecord&& rec) { writer.append(rec); },
+          cli.serial ? 1 : cli.jobs);
       dataset_desc = "synthetic x" + std::to_string(opt.scale);
     }
     store_paths = writer.finish();

@@ -214,16 +214,17 @@ struct ReportRowSink final : telemetry::Sink {
 };
 
 /// Synthesizes the fig2 corpus at `scale` into a fresh spool directory,
-/// sealed in 64k-flow shards (the same sharding fig2 --scale uses).
+/// sealed in 64k-flow shards (the same sharding fig2 --scale uses), with
+/// `jobs` generator workers (the bytes do not depend on it).
 std::vector<std::string> synthesize_spool(const fs::path& dir, std::size_t scale,
-                                          std::uint64_t seed) {
+                                          std::uint64_t seed, unsigned jobs) {
   fs::create_directories(dir);
   store::ShardedFlowStoreWriter writer{(dir / "corpus.ccfs").string(), 65536};
   mlab::SyntheticConfig scfg;
   scfg.n_flows *= scale;
   Rng rng{seed};
-  mlab::generate_dataset_stream(scfg, rng,
-                                [&writer](mlab::NdtRecord&& rec) { writer.append(rec); });
+  mlab::generate_dataset_stream(
+      scfg, rng, [&writer](mlab::NdtRecord&& rec) { writer.append(rec); }, jobs);
   return writer.finish();
 }
 
@@ -240,7 +241,7 @@ int run_daemon(bench::Cli& cli, const IngestdOptions& opt) {
     scratch.dir = fs::temp_directory_path() /
                   ("ingestd_spool." + std::to_string(seed) + "." + std::to_string(cli.scale) +
                    "." + std::to_string(::getpid()));
-    synthesize_spool(scratch.dir, cli.scale, seed);
+    synthesize_spool(scratch.dir, cli.scale, seed, cli.serial ? 1 : cli.jobs);
     ingest::SpoolOptions sopts;
     sopts.replay = opt.replay;
     sopts.strict = cli.strict;
@@ -368,7 +369,7 @@ int run_exit_sweep(bench::Cli& cli, const IngestdOptions& opt) {
   mlab::SyntheticConfig scfg;
   if (cli.has_scale) scfg.n_flows *= cli.scale;
   Rng rng{seed};
-  const auto dataset = mlab::generate_dataset(scfg, rng);
+  const auto dataset = mlab::generate_dataset(scfg, rng, cli.serial ? 1 : cli.jobs);
 
   print_banner(os, "Early-exit policy sweep: accuracy vs series bytes read (" +
                        std::to_string(dataset.size()) + " flows)");

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -168,6 +170,94 @@ TEST(ExperimentRunner, LowestIndexExceptionWinsDeterministically) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "task 2") << "jobs=" << jobs;
     }
+  }
+}
+
+TEST(ExperimentRunner, RunOrderedConsumesInIndexOrderWithinTheWindow) {
+  constexpr std::size_t kN = 200;
+  constexpr std::size_t kWindow = 3;
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    ExperimentRunner runner{{.jobs = jobs}};
+    const auto caller = std::this_thread::get_id();
+    std::mutex mu;
+    std::size_t in_flight = 0;
+    std::size_t most_in_flight = 0;
+    // consumed is written on the caller and read by produce(i), which
+    // may start only after consume(i - kWindow) returned.
+    std::vector<std::atomic<bool>> consumed(kN);
+    std::vector<int> produced(kN, 0);
+    std::vector<std::size_t> order;
+    bool early_start = false;
+    bool consume_off_caller = false;
+    runner.run_ordered(
+        kN, kWindow,
+        [&](std::size_t i) {
+          {
+            std::lock_guard lk{mu};
+            most_in_flight = std::max(most_in_flight, ++in_flight);
+            if (i >= kWindow && !consumed[i - kWindow].load()) early_start = true;
+          }
+          produced[i] = static_cast<int>(i) * 7;
+          std::lock_guard lk{mu};
+          --in_flight;
+        },
+        [&](std::size_t i) {
+          consume_off_caller |= std::this_thread::get_id() != caller;
+          EXPECT_EQ(produced[i], static_cast<int>(i) * 7);
+          order.push_back(i);
+          consumed[i].store(true);
+        });
+    ASSERT_EQ(order.size(), kN) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
+    EXPECT_LE(most_in_flight, kWindow) << "jobs=" << jobs;
+    EXPECT_FALSE(early_start) << "jobs=" << jobs;
+    EXPECT_FALSE(consume_off_caller) << "jobs=" << jobs;
+  }
+}
+
+TEST(ExperimentRunner, RunOrderedRethrowsTheFirstFailureInIndexOrder) {
+  constexpr std::size_t kWindow = 4;
+  for (const unsigned jobs : {1u, 4u}) {
+    ExperimentRunner runner{{.jobs = jobs}};
+    // produce fails at 9 and 11: 9 wins, and only 0..8 are consumed.
+    std::vector<std::size_t> consumed;
+    try {
+      runner.run_ordered(
+          40, kWindow,
+          [](std::size_t i) {
+            if (i == 9 || i == 11) throw std::runtime_error{"produce " + std::to_string(i)};
+          },
+          [&](std::size_t i) { consumed.push_back(i); });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "produce 9") << "jobs=" << jobs;
+    }
+    EXPECT_EQ(consumed.size(), 9u) << "jobs=" << jobs;
+
+    // consume fails at 5: nothing past 5 + kWindow - 1 was ever produced,
+    // and nothing still runs once the call has returned.
+    std::atomic<std::size_t> highest{0};
+    std::atomic<int> running{0};
+    try {
+      runner.run_ordered(
+          40, kWindow,
+          [&](std::size_t i) {
+            running.fetch_add(1);
+            std::size_t h = highest.load();
+            while (i > h && !highest.compare_exchange_weak(h, i)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds{200});
+            running.fetch_sub(1);
+          },
+          [](std::size_t i) {
+            if (i == 5) throw Error::corruption("/sink", "consume 5", 5);
+          });
+      FAIL() << "expected a rethrow";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.byte_offset(), 5u) << "jobs=" << jobs;
+    }
+    EXPECT_LE(highest.load(), 5 + kWindow - 1) << "jobs=" << jobs;
+    EXPECT_EQ(running.load(), 0) << "jobs=" << jobs;
   }
 }
 
