@@ -3,8 +3,8 @@
 # plus a Debug job that runs the asserts the other two compile out:
 #
 #   tsan   -DCCC_SANITIZE=thread             ctest -L sanitize
-#          (the concurrency tests: runner pool and its ordered window
-#          (run_ordered), telemetry merge, the jobs-1-vs-jobs-8 pipeline
+#          (the concurrency tests: the runner's claiming workers behind
+#          map and run_ordered, telemetry merge, the jobs-1-vs-jobs-8 pipeline
 #          determinism pin, and the synthetic generator's block workers:
 #          test_mlab's job-count identity and sink-exception tests)
 #

@@ -5,29 +5,13 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
-#include <limits>
 
+#include "runner/experiment_runner.hpp"
 #include "util/error.hpp"
 
 namespace ccc::bench {
 
 namespace {
-
-/// Strictly positive integer, or 0 on malformed input. Overflow counts as
-/// malformed: strtol saturates at LONG_MAX with ERANGE, and truncating that
-/// into an unsigned would silently accept "--jobs 99999999999999999999" as
-/// some huge-but-bogus worker count.
-unsigned parse_positive(const char* s) {
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v <= 0 || errno == ERANGE ||
-      v > static_cast<long>(std::numeric_limits<unsigned>::max())) {
-    return 0;
-  }
-  return static_cast<unsigned>(v);
-}
 
 bool parse_u64(const char* s, std::uint64_t& out) {
   if (s == nullptr || *s == '\0') return false;
@@ -163,14 +147,14 @@ Cli Cli::parse(int argc, char** argv, std::string_view bench_name) {
     if (arg == "--help" || arg == "-h") {
       cli.help = true;
     } else if (const char* v = value_of("--jobs"); v != nullptr) {
-      cli.jobs = parse_positive(v);
+      cli.jobs = runner::parse_job_count(v);
       if (cli.jobs == 0 && strict) die(bench_name, "invalid --jobs value '" + std::string{v} + "'");
     } else if (arg == "-j" && i + 1 < argc) {
-      cli.jobs = parse_positive(argv[++i]);
+      cli.jobs = runner::parse_job_count(argv[++i]);
       if (cli.jobs == 0 && strict)
         die(bench_name, "invalid -j value '" + std::string{argv[i]} + "'");
     } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-      cli.jobs = parse_positive(arg.c_str() + 2);
+      cli.jobs = runner::parse_job_count(arg.c_str() + 2);
       if (cli.jobs == 0 && strict) die(bench_name, "invalid -j value '" + arg.substr(2) + "'");
     } else if (const char* v = value_of("--seed"); v != nullptr) {
       cli.has_seed = parse_u64(v, cli.seed);

@@ -80,8 +80,8 @@ class Cli {
   /// Parses argv. If `bench_name` is non-empty this is the bench's main
   /// entry: `--help` prints usage for that bench and exits 0, and a
   /// malformed flag value prints an error and exits 2. With an empty name
-  /// (library callers, e.g. runner::jobs_from_cli) parsing never exits and
-  /// malformed values are treated as absent.
+  /// (library callers and tests) parsing never exits and malformed values
+  /// are treated as absent.
   static Cli parse(int argc, char** argv, std::string_view bench_name = {});
 
   /// The usage text `--help` prints.

@@ -1,7 +1,7 @@
 // run_pipeline_forked — the passive pipeline fanned out over PROCESSES
 // instead of threads, one task per ccfs shard.
 //
-// Why processes, when run_pipeline already scales over a thread pool: a
+// Why processes, when run_pipeline already scales over threads: a
 // past-RAM run. The threaded pipeline opens every shard in one address
 // space up front (ShardSet), so a dataset larger than memory dies before
 // the first flow is analyzed. Here the parent never opens a shard at all:

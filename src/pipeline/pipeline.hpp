@@ -2,7 +2,7 @@
 // that takes the §3.1 passive study from the paper's 10^4 flows to 10^6+.
 //
 // The flow index space is cut into contiguous shards of `shard_flows`;
-// shards fan out over the existing runner::ThreadPool. Each shard owns its
+// shards fan out over runner::ExperimentRunner's workers. Each shard owns its
 // Sink (counters + its own telemetry::MetricRegistry), so workers share
 // nothing; the merge folds shard sinks *in shard index order*, which makes
 // every aggregate — verdict counts, confusion matrix, change-point totals,

@@ -1,55 +1,47 @@
 #include "runner/experiment_runner.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/cli.hpp"
-#include "runner/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ccc::runner {
 
 namespace {
 
-/// Parses a strictly positive integer; returns 0 on any malformed input.
-unsigned parse_jobs(const char* s) {
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v <= 0) return 0;
-  return static_cast<unsigned>(v);
-}
-
-/// run_ordered's workers and the state they share. Each worker is one pool
-/// job for the whole call: it claims the next index below a limit the
-/// caller raises as it consumes, and reports into slot i % window. So no
-/// closure is allocated per task, nor freed on a worker.
-class OrderedWindow {
+/// The runner's worker threads and the state they share. Each thread claims
+/// the next index below a limit the caller raises, runs task(i), reports
+/// progress and fills slot i % slots. So no closure is allocated per task,
+/// nor freed on a worker: a fan-out allocates per worker, not per task.
+/// `progress`, if not null, is called as (done, slots): only run_all
+/// passes one, with a slot per task.
+class Workers {
  public:
-  OrderedWindow(const std::function<void(std::size_t)>& produce, std::size_t window,
-                std::size_t limit, unsigned workers)
-      : produce_{produce}, slots_(window), limit_{limit}, pool_{workers} {
-    for (unsigned k = 0; k < workers; ++k) pool_.submit([this] { work(); });
-  }
-
-  /// Stops the workers; pool_, the last member, then joins them before the
-  /// state they use is destroyed. Runs on exception paths too.
-  ~OrderedWindow() {
-    {
-      std::lock_guard lk{mu_};
-      stop_ = true;
+  Workers(const std::function<void(std::size_t)>& task, std::size_t slots, std::size_t limit,
+          unsigned count, const ProgressFn* progress)
+      : task_{task}, progress_{progress}, slots_(slots), limit_{limit} {
+    threads_.reserve(count);
+    try {
+      for (unsigned k = 0; k < count; ++k) threads_.emplace_back([this] { work(); });
+    } catch (...) {
+      stop();  // a joinable std::thread must not be destroyed
+      throw;
     }
-    claimable_.notify_all();
   }
 
-  OrderedWindow(const OrderedWindow&) = delete;
-  OrderedWindow& operator=(const OrderedWindow&) = delete;
+  /// Stops and joins the workers before the state they use is destroyed.
+  /// Runs on exception paths too.
+  ~Workers() { stop(); }
+
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
 
   /// Waits for task i and returns its exception, if it threw.
   std::exception_ptr wait_for(std::size_t i) {
@@ -75,6 +67,15 @@ class OrderedWindow {
     std::exception_ptr error;
   };
 
+  void stop() {
+    {
+      std::lock_guard lk{mu_};
+      stop_ = true;
+    }
+    claimable_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
+
   void work() {
     for (;;) {
       std::size_t i = 0;
@@ -86,9 +87,19 @@ class OrderedWindow {
       }
       std::exception_ptr error;
       try {
-        produce_(i);
+        task_(i);
       } catch (...) {
         error = std::current_exception();
+      }
+      if (progress_ != nullptr) {
+        // Under its own lock, so callbacks never interleave and never hold
+        // up a claim. A callback that throws fails its task.
+        std::lock_guard lk{progress_mu_};
+        try {
+          (*progress_)(++done_, slots_.size());
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
       }
       {
         std::lock_guard lk{mu_};
@@ -98,31 +109,41 @@ class OrderedWindow {
     }
   }
 
-  const std::function<void(std::size_t)>& produce_;
-  std::mutex mu_;  // guards everything below but pool_
+  const std::function<void(std::size_t)>& task_;
+  const ProgressFn* progress_;
+  std::mutex progress_mu_;  // guards done_ and serializes progress_
+  std::size_t done_{0};
+  std::mutex mu_;  // guards everything below but threads_
   std::condition_variable claimable_;  // next_ < limit_, or stop_
   std::condition_variable ready_;      // a slot was filled
   std::vector<Slot> slots_;
   std::size_t next_{0};
   std::size_t limit_;
   bool stop_{false};
-  ThreadPool pool_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace
 
-unsigned resolve_jobs(unsigned requested) {
-  if (requested > 0) return requested;
-  if (const unsigned env = parse_jobs(std::getenv("CCC_JOBS")); env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+unsigned parse_job_count(const char* s) {
+  if (s == nullptr || *s == '\0') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  // strtol saturates at LONG_MAX with ERANGE; either way an over-range
+  // value is malformed, not a truncated count.
+  if (end == nullptr || *end != '\0' || v <= 0 || errno == ERANGE ||
+      v > static_cast<long>(std::numeric_limits<unsigned>::max())) {
+    return 0;
+  }
+  return static_cast<unsigned>(v);
 }
 
-unsigned jobs_from_cli(int argc, char** argv, unsigned fallback) {
-  // Thin wrapper over the shared bench CLI so one grammar serves both the
-  // runner and the bench binaries (non-strict parse: malformed == absent).
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
-  return cli.jobs > 0 ? cli.jobs : fallback;
+unsigned resolve_jobs(unsigned requested) {
+  if (requested > 0) return requested;
+  if (const unsigned env = parse_job_count(std::getenv("CCC_JOBS")); env > 0) return env;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
 }
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {
@@ -134,54 +155,25 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : jobs_{resolve_jobs(opts.jobs)}, on_progress_{std::move(opts.on_progress)} {}
 
-void ExperimentRunner::run_all(const std::vector<std::function<void()>>& tasks) {
-  const std::size_t total = tasks.size();
-  if (total == 0) return;
-  // One slot per task: the lowest-indexed exception wins deterministically.
-  std::vector<std::exception_ptr> errors(total);
-
-  if (jobs_ <= 1 || total == 1) {
-    for (std::size_t i = 0; i < total; ++i) {
+void ExperimentRunner::run_all(std::size_t n, const std::function<void(std::size_t)>& task) {
+  std::exception_ptr first;  // the lowest-indexed failure wins deterministically
+  if (jobs_ <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
       try {
-        tasks[i]();
+        task(i);
       } catch (...) {
-        errors[i] = std::current_exception();
+        if (!first) first = std::current_exception();
       }
-      if (on_progress_) on_progress_(i + 1, total);
+      if (on_progress_) on_progress_(i + 1, n);
     }
   } else {
-    const auto workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, total));
-    std::mutex mu;
-    std::condition_variable all_done;
-    std::size_t done = 0;
-    {
-      ThreadPool pool{workers};
-      for (std::size_t i = 0; i < total; ++i) {
-        pool.submit([this, &tasks, &errors, &mu, &all_done, &done, total, i] {
-          try {
-            tasks[i]();
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-          std::size_t finished;
-          {
-            std::lock_guard lk{mu};
-            finished = ++done;
-            // Progress runs under the lock so callbacks never interleave.
-            if (on_progress_) on_progress_(finished, total);
-          }
-          if (finished == total) all_done.notify_one();
-        });
-      }
-      std::unique_lock lk{mu};
-      all_done.wait(lk, [&] { return done == total; });
-    }  // joins the pool — no worker still touches errors/done after this
-  }
-
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+    Workers w{task, n, n, static_cast<unsigned>(std::min<std::size_t>(jobs_, n)),
+              on_progress_ ? &on_progress_ : nullptr};
+    for (std::size_t i = 0; i < n; ++i) {
+      if (auto error = w.wait_for(i); error && !first) first = std::move(error);
+    }
+  }  // joins the workers: none still runs a task or a callback after this
+  if (first) std::rethrow_exception(first);
 }
 
 void ExperimentRunner::run_ordered(std::size_t n, std::size_t window,
@@ -196,8 +188,8 @@ void ExperimentRunner::run_ordered(std::size_t n, std::size_t window,
     return;
   }
 
-  OrderedWindow w{produce, window, std::min(n, window),
-                  static_cast<unsigned>(std::min<std::size_t>(jobs_, window))};
+  Workers w{produce, window, std::min(n, window),
+            static_cast<unsigned>(std::min<std::size_t>(jobs_, window)), nullptr};
   for (std::size_t i = 0; i < n; ++i) {
     if (auto error = w.wait_for(i)) std::rethrow_exception(error);
     consume(i);

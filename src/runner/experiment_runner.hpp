@@ -1,5 +1,5 @@
-// ExperimentRunner: fan a sweep of independent simulations out over a
-// thread pool.
+// ExperimentRunner: fan a sweep of independent simulations out over
+// worker threads.
 //
 // Every figure in the paper is a grid of *independent, deterministic*
 // simulations (qdisc x CCA-mix x cross-traffic), so sweeps are
@@ -35,9 +35,10 @@ struct RunnerOptions {
 /// consults CCC_JOBS, then hardware concurrency; never returns 0).
 [[nodiscard]] unsigned resolve_jobs(unsigned requested);
 
-/// Scans argv for `--jobs N`, `--jobs=N`, `-j N` or `-jN` and returns the
-/// parsed count, or `fallback` if the flag is absent or malformed.
-[[nodiscard]] unsigned jobs_from_cli(int argc, char** argv, unsigned fallback = 0);
+/// Parses a job count, as `--jobs` and CCC_JOBS spell it: a strictly
+/// positive integer that fits an unsigned, else 0. Overflow counts as
+/// malformed, never as a truncated count.
+[[nodiscard]] unsigned parse_job_count(const char* s);
 
 /// Derives an independent per-task seed from a base seed and task index
 /// (util::splitmix64). Tasks seeded this way get decorrelated RNG
@@ -51,14 +52,16 @@ class ExperimentRunner {
   /// The resolved worker count.
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
-  /// Runs every task, at most jobs() at a time, and returns once all have
-  /// finished. Every task runs even if some throw; the exception from the
-  /// lowest-indexed failing task is rethrown afterwards (deterministic
-  /// regardless of completion order — and identical to jobs=1 behaviour).
-  /// Rethrow preserves the dynamic type (std::exception_ptr), so a typed
-  /// ccc::Error from a worker — category, path, byte offset intact —
-  /// crosses the pool boundary and reaches the bench's guarded_main.
-  void run_all(const std::vector<std::function<void()>>& tasks);
+  /// Runs `task(i)` for every i in [0, n), at most jobs() at a time, and
+  /// returns once all have finished. Every task runs even if some throw;
+  /// the exception from the lowest-indexed failing task is rethrown
+  /// afterwards (deterministic regardless of completion order — and
+  /// identical to jobs=1 behaviour). Rethrow preserves the dynamic type
+  /// (std::exception_ptr), so a typed ccc::Error from a worker — category,
+  /// path, byte offset intact — crosses the thread boundary and reaches the
+  /// bench's guarded_main. on_progress runs on the worker that finished
+  /// the task (inline on the caller when jobs() == 1).
+  void run_all(std::size_t n, const std::function<void(std::size_t)>& task);
 
   /// Runs `produce(i)` for every i in [0, n) on the workers, at most
   /// `window` at a time, and calls `consume(i)` on the calling thread in
@@ -78,12 +81,7 @@ class ExperimentRunner {
   [[nodiscard]] std::vector<R> map(std::size_t n,
                                    const std::function<R(std::size_t)>& fn) {
     std::vector<R> out(n);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks.push_back([&out, &fn, i] { out[i] = fn(i); });
-    }
-    run_all(tasks);
+    run_all(n, [&out, &fn](std::size_t i) { out[i] = fn(i); });
     return out;
   }
 

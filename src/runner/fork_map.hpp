@@ -1,6 +1,6 @@
 // fork_map — fork-per-task fan-out for memory-isolated parallelism.
 //
-// The thread-pool runner (experiment_runner.hpp) shares one address space,
+// The threaded runner (experiment_runner.hpp) shares one address space,
 // which is the right tool when tasks are compute-bound over shared
 // read-only inputs. It is the wrong tool when each task's working set must
 // be RECLAIMED the moment the task finishes: a past-RAM passive run that

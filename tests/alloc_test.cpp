@@ -8,7 +8,8 @@
 // their warm-up, and bounds the allocations made per packet the bottleneck
 // link serializes. A regression that allocates per packet or per few
 // packets (a node-based list, a deque that frees and re-allocates blocks as
-// its front advances) fails the bound.
+// its front advances) fails the bound. The runner's map, behind every
+// sweep, is held to the same rule per task.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "core/dumbbell.hpp"
 #include "queue/drr_fair_queue.hpp"
 #include "queue/fq_codel.hpp"
+#include "runner/experiment_runner.hpp"
 #include "util/block_deque.hpp"
 
 namespace {
@@ -276,6 +278,26 @@ TEST(Allocations, BlockDequeHoldsAtMostTwiceTheBlocksItsDepthNeeds) {
   std::printf("block deque: peak %llu allocations held, %llu after shrinking to %zu elements\n",
               static_cast<unsigned long long>(peak),
               static_cast<unsigned long long>(live() - live0), q.size());
+}
+
+TEST(Allocations, RunnerMapAllocatesPerWorkerNotPerTask) {
+  // Every sweep, figure and pipeline fan-out goes through map. Its workers
+  // claim indices, so a call allocates its result and bookkeeping vectors
+  // and one state per thread, whatever the task count. Queuing a closure
+  // per task (or two: one in a task vector, one in a pool's job queue)
+  // costs thousands of calls more over 4,096 tasks.
+  runner::ExperimentRunner pool{{.jobs = 4, .on_progress = {}}};
+  const auto allocations_for = [&pool](std::size_t n) {
+    const std::uint64_t a0 = g_allocations.load();
+    const auto out = pool.map<int>(n, [](std::size_t i) { return static_cast<int>(i); });
+    EXPECT_EQ(out.size(), n);
+    return g_allocations.load() - a0;
+  };
+  const std::uint64_t few = allocations_for(64);
+  const std::uint64_t many = allocations_for(4096);
+  std::printf("runner map at 4 jobs: %llu allocations over 64 tasks, %llu over 4096\n",
+              static_cast<unsigned long long>(few), static_cast<unsigned long long>(many));
+  EXPECT_LE(many, few + 8);
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST(Synthetic, SinkExceptionIsRethrownWithNoWorkerLeft) {
       EXPECT_STREQ(e.what(), "sink full");
     }
     EXPECT_EQ(seen, 300u);
-    // The pool's threads are joined before the call returns; a joined
+    // The runner's threads are joined before the call returns; a joined
     // thread can linger in /proc for a moment after join.
     for (int i = 0; i < 200 && thread_count() != threads_before; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds{10});

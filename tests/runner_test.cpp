@@ -1,43 +1,27 @@
 // Unit tests for the parallel experiment runner (ccc::runner).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/bulk.hpp"
 #include "core/cca_registry.hpp"
 #include "core/dumbbell.hpp"
 #include "runner/experiment_runner.hpp"
-#include "runner/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace ccc::runner {
 namespace {
-
-// --- thread pool ---
-
-TEST(ThreadPool, RunsEveryJobBeforeDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{4};
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }  // destructor drains the queue
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.size(), 1u);
-}
 
 // --- job-count resolution ---
 
@@ -50,29 +34,19 @@ TEST(ResolveJobs, ExplicitRequestWins) {
 TEST(ResolveJobs, EnvOverridesAuto) {
   ASSERT_EQ(setenv("CCC_JOBS", "5", 1), 0);
   EXPECT_EQ(resolve_jobs(0), 5u);
-  ASSERT_EQ(setenv("CCC_JOBS", "garbage", 1), 0);
-  EXPECT_GE(resolve_jobs(0), 1u);  // malformed -> hardware fallback, never 0
+  // Malformed or over-range -> the hardware fallback, never 0 and never a
+  // truncated count. resolve_jobs only returns a number; nothing starts.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const char* bad : {"garbage", "4294967297", "99999999999"}) {
+    ASSERT_EQ(setenv("CCC_JOBS", bad, 1), 0);
+    EXPECT_EQ(resolve_jobs(0), hw) << "CCC_JOBS=" << bad;
+  }
   unsetenv("CCC_JOBS");
 }
 
 TEST(ResolveJobs, NeverReturnsZero) {
   unsetenv("CCC_JOBS");
   EXPECT_GE(resolve_jobs(0), 1u);
-}
-
-TEST(JobsFromCli, ParsesAllSpellings) {
-  const char* argv1[] = {"bench", "--jobs", "8"};
-  EXPECT_EQ(jobs_from_cli(3, const_cast<char**>(argv1)), 8u);
-  const char* argv2[] = {"bench", "--jobs=12"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv2)), 12u);
-  const char* argv3[] = {"bench", "-j4"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv3)), 4u);
-  const char* argv4[] = {"bench", "-j", "2"};
-  EXPECT_EQ(jobs_from_cli(3, const_cast<char**>(argv4)), 2u);
-  const char* argv5[] = {"bench", "--other"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv5), 9), 9u);
-  const char* argv6[] = {"bench", "--jobs=-1"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv6), 9), 9u);
 }
 
 // --- seed isolation ---
@@ -94,41 +68,48 @@ TEST(ExperimentRunner, JobsOneRunsSeriallyInOrderOnCallingThread) {
   std::vector<std::size_t> order;
   const auto caller = std::this_thread::get_id();
   bool all_on_caller = true;
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < 8; ++i) {
-    tasks.push_back([&, i] {
-      order.push_back(i);  // unsynchronized on purpose: serial mode
-      all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
-    });
-  }
-  runner.run_all(tasks);
+  runner.run_all(8, [&](std::size_t i) {
+    order.push_back(i);  // unsynchronized on purpose: serial mode
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_TRUE(all_on_caller);
 }
 
 TEST(ExperimentRunner, MapPreservesInputOrder) {
-  ExperimentRunner runner{{.jobs = 4}};
-  const auto out = runner.map<int>(64, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_EQ(out.size(), 64u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i) * 3);
+  // Fewer tasks than jobs (n = 2 at 8 jobs) and none at all, too.
+  const std::pair<std::size_t, unsigned> cases[] = {{64, 4}, {0, 4}, {2, 8}};
+  for (const auto& [n, jobs] : cases) {
+    ExperimentRunner runner{{.jobs = jobs}};
+    const auto out = runner.map<int>(n, [](std::size_t i) { return static_cast<int>(i) * 3; });
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i) * 3);
+  }
 }
 
 TEST(ExperimentRunner, ExceptionPropagatesWithoutDeadlock) {
   ExperimentRunner runner{{.jobs = 4}};
   std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < 8; ++i) {
-    tasks.push_back([&completed, i] {
-      if (i == 3) throw std::runtime_error{"task 3 failed"};
-      completed.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(runner.run_all(tasks), std::runtime_error);
-  // Every other task still ran: one failure does not wedge the pool.
+  EXPECT_THROW(runner.run_all(8,
+                              [&completed](std::size_t i) {
+                                if (i == 3) throw std::runtime_error{"task 3 failed"};
+                                completed.fetch_add(1);
+                              }),
+               std::runtime_error);
+  // Every other task still ran: one failure does not wedge the workers.
   EXPECT_EQ(completed.load(), 7);
   // The runner stays usable afterwards.
   const auto ok = runner.map<int>(4, [](std::size_t i) { return static_cast<int>(i); });
   EXPECT_EQ(ok, (std::vector<int>{0, 1, 2, 3}));
+  // A progress callback that throws on a worker fails that task; it does
+  // not end the process.
+  RunnerOptions opts;
+  opts.jobs = 4;
+  opts.on_progress = [](std::size_t done, std::size_t) {
+    if (done == 2) throw std::runtime_error{"progress 2"};
+  };
+  ExperimentRunner throwing_progress{opts};
+  EXPECT_THROW(throwing_progress.run_all(8, [](std::size_t) {}), std::runtime_error);
 }
 
 TEST(ExperimentRunner, TypedErrorCrossesThePoolIntact) {
@@ -138,14 +119,10 @@ TEST(ExperimentRunner, TypedErrorCrossesThePoolIntact) {
   // strict mode and guarded_main's exit-code mapping both depend on this.
   for (const unsigned jobs : {1u, 4u}) {
     ExperimentRunner runner{{.jobs = jobs}};
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < 4; ++i) {
-      tasks.push_back([i] {
+    try {
+      runner.run_all(4, [](std::size_t i) {
         if (i == 1) throw Error::corruption("/data/shard.ccfs", "crc mismatch", 64);
       });
-    }
-    try {
-      runner.run_all(tasks);
       FAIL() << "expected a rethrow (jobs=" << jobs << ")";
     } catch (const Error& e) {
       EXPECT_EQ(e.category(), ErrorCategory::kCorruption) << "jobs=" << jobs;
@@ -158,14 +135,10 @@ TEST(ExperimentRunner, TypedErrorCrossesThePoolIntact) {
 TEST(ExperimentRunner, LowestIndexExceptionWinsDeterministically) {
   for (const unsigned jobs : {1u, 4u}) {
     ExperimentRunner runner{{.jobs = jobs}};
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < 6; ++i) {
-      tasks.push_back([i] {
+    try {
+      runner.run_all(6, [](std::size_t i) {
         if (i == 2 || i == 5) throw std::runtime_error{"task " + std::to_string(i)};
       });
-    }
-    try {
-      runner.run_all(tasks);
       FAIL() << "expected a rethrow";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "task 2") << "jobs=" << jobs;
@@ -270,9 +243,40 @@ TEST(ExperimentRunner, ProgressReportsEveryCompletionMonotonically) {
     seen.push_back(done);  // serialized by the runner's lock
   };
   ExperimentRunner with_progress{opts};
-  with_progress.run_all(std::vector<std::function<void()>>(10, [] {}));
+  with_progress.run_all(10, [](std::size_t) {});
   ASSERT_EQ(seen.size(), 10u);
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+}
+
+TEST(ExperimentRunner, ProgressRunsOnTheWorkerThatFinishedTheTask) {
+  // perfbench's sweep_grid reads a cell's duration as the time between two
+  // progress calls on the same thread, so each call must come from the
+  // worker that finished the task, right after it finished.
+  static constexpr std::size_t kN = 200;
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(kN);
+  std::vector<std::pair<std::thread::id, std::size_t>> calls;
+  RunnerOptions opts;
+  opts.jobs = 4;
+  opts.on_progress = [&calls](std::size_t done, std::size_t total) {
+    EXPECT_EQ(total, kN);
+    calls.emplace_back(std::this_thread::get_id(), done);  // serialized by the runner
+  };
+  ExperimentRunner runner{opts};
+  runner.run_all(kN, [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    std::this_thread::sleep_for(std::chrono::microseconds{20});
+  });
+  ASSERT_EQ(calls.size(), kN);
+  std::map<std::thread::id, std::size_t> tasks_per_thread;
+  for (const auto& id : ran_on) ++tasks_per_thread[id];
+  std::map<std::thread::id, std::size_t> calls_per_thread;
+  for (std::size_t k = 0; k < kN; ++k) {
+    EXPECT_NE(calls[k].first, caller) << "call " << k;
+    EXPECT_EQ(calls[k].second, k + 1);
+    ++calls_per_thread[calls[k].first];
+  }
+  EXPECT_EQ(calls_per_thread, tasks_per_thread);
 }
 
 // --- the determinism contract, end to end ---
