@@ -14,6 +14,10 @@
 //   --scale N        self-contained: synthesize the fig2 corpus at N x 9,984
 //                    flows into a temporary spool and consume that
 //
+// --jobs N (default CCC_JOBS, else the hardware) sets the daemon's analysis
+// workers and the --scale generator's; --serial runs both on one thread.
+// No output depends on either.
+//
 // Every --epoch-flows flows the daemon settles an epoch: metric deltas
 // export, the open output shard (--out-store) rotates sealed-and-CRC-valid,
 // and a row group of rolling aggregates lands in the --report file. At
@@ -282,6 +286,7 @@ int run_daemon(bench::Cli& cli, const IngestdOptions& opt) {
   dcfg.out_store = opt.out_store;
   dcfg.out_shard_flows = opt.shard_flows;
   dcfg.max_flows = opt.max_flows;
+  dcfg.jobs = cli.serial ? 1 : cli.jobs;
   dcfg.should_stop = [] { return g_stop != 0; };
 
   telemetry::RunReport run_report{"ingestd", seed};

@@ -3,8 +3,8 @@
 // fanned out over the ExperimentRunner, checkpointed per cell, streamed
 // into ccfs shards.
 //
-//   sweep_matrix --grid "cca=reno,cubic;qdisc=droptail,fq_codel" \
-//                --checkpoint sweep.ckpt --resume \
+//   sweep_matrix --grid "cca=reno,cubic;qdisc=droptail,fq_codel"
+//                --checkpoint sweep.ckpt --resume
 //                --out-store sweep.ccfs --jobs 16
 //
 // A killed run restarts with --resume and skips every journaled cell; the

@@ -5,8 +5,10 @@
 #   tsan   -DCCC_SANITIZE=thread             ctest -L sanitize
 #          (the concurrency tests: the runner's claiming workers behind
 #          map and run_ordered, telemetry merge, the jobs-1-vs-jobs-8 pipeline
-#          determinism pin, and the synthetic generator's block workers:
-#          test_mlab's job-count identity and sink-exception tests)
+#          determinism pin, the synthetic generator's block workers:
+#          test_mlab's job-count identity and sink-exception tests, and the
+#          ingest daemon's analysis workers: test_ingest's jobs-1-vs-jobs-4
+#          and strict-error pins)
 #
 #   asan   -DCCC_SANITIZE=address,undefined
 #          ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"

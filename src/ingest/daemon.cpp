@@ -1,7 +1,12 @@
 #include "ingest/daemon.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 #include <thread>
+
+#include "changepoint/workspace.hpp"
+#include "runner/experiment_runner.hpp"
 
 namespace ccc::ingest {
 
@@ -17,7 +22,10 @@ pipeline::StageOptions bounded(pipeline::StageOptions opts) {
 }  // namespace
 
 IngestDaemon::IngestDaemon(IngestConfig cfg)
-    : cfg_{std::move(cfg)}, stage_{bounded(cfg_.stage)} {
+    : cfg_{std::move(cfg)},
+      jobs_{static_cast<unsigned>(std::min<std::size_t>(
+          runner::resolve_jobs(cfg_.jobs), std::max<std::size_t>(cfg_.batch_flows, 1)))},
+      stage_{bounded(cfg_.stage)} {
   if (!cfg_.out_store.empty()) {
     const auto per_shard = cfg_.out_shard_flows > 0 ? cfg_.out_shard_flows : 65536;
     writer_ = std::make_unique<store::ShardedFlowStoreWriter>(cfg_.out_store, per_shard);
@@ -50,6 +58,29 @@ void IngestDaemon::settle_epoch(IngestResult& res) {
 IngestResult IngestDaemon::run(pipeline::PullSource& src) {
   IngestResult res;
   std::vector<store::FlowView> batch;
+  // Reused from batch to batch: a finding slot and a sanity flag per flow
+  // (chars, not vector<bool>: workers write neighbouring flags), and a
+  // workspace per chunk. Chunk c covers flows [c * chunk_flows, ...).
+  std::vector<pipeline::FlowFinding> findings;
+  std::vector<char> sane;
+  std::vector<changepoint::ChangepointWorkspace> workspaces(jobs_);
+  std::size_t chunk_flows = 1;
+  const auto analyze_chunk = [&](std::size_t c) {
+    const std::size_t end = std::min(batch.size(), (c + 1) * chunk_flows);
+    for (std::size_t k = c * chunk_flows; k < end; ++k) {
+      sane[k] = static_cast<char>(stage_.analyze(batch[k], workspaces[c], findings[k]));
+    }
+  };
+  // One worker loop for the whole run. Its task indices keep counting
+  // across batches: a batch's chunks are tasks [first_task, next_task).
+  std::size_t first_task = 0;
+  std::size_t next_task = 0;
+  const std::function<void(std::size_t)> task = [&](std::size_t i) {
+    analyze_chunk(i - first_task);
+  };
+  std::optional<runner::Workers> workers;  // after all its tasks touch: joins first
+  if (jobs_ > 1) workers.emplace(task, jobs_, jobs_);
+
   std::uint64_t since_epoch = 0;
   for (;;) {
     if (cfg_.should_stop && cfg_.should_stop()) break;
@@ -65,14 +96,35 @@ IngestResult IngestDaemon::run(pipeline::PullSource& src) {
     }
     batch.clear();
     const auto pr = src.pull(batch, want);
-    for (const auto& flow : batch) {
-      // The writer sees the raw stream (log-structured capture keeps even
-      // records the validator would drop — reprocessing with better code
-      // later is the point of keeping the bytes); the stage applies its own
-      // validation policy.
-      if (writer_) writer_->append(flow);
-      stage_.push(flow);
+    const std::size_t n = batch.size();
+    if (findings.size() < n) {
+      findings.resize(n);
+      sane.resize(n);
     }
+    chunk_flows = (n + jobs_ - 1) / jobs_;
+    const std::size_t chunks = chunk_flows == 0 ? 0 : (n + chunk_flows - 1) / chunk_flows;
+    if (workers) {
+      first_task = next_task;
+      next_task += chunks;
+      workers->raise_limit(next_task);
+    }
+    // The writer sees the raw stream (log-structured capture keeps even
+    // records the validator would drop — reprocessing with better code
+    // later is the point of keeping the bytes); the stage applies its own
+    // validation policy.
+    if (writer_) {
+      for (const auto& flow : batch) writer_->append(flow);
+    }
+    if (workers) {
+      std::exception_ptr first;
+      for (std::size_t i = first_task; i < next_task; ++i) {
+        if (auto error = workers->wait_for(i); error && !first) first = std::move(error);
+      }
+      if (first) std::rethrow_exception(first);
+    } else {
+      for (std::size_t c = 0; c < chunks; ++c) analyze_chunk(c);
+    }
+    for (std::size_t k = 0; k < n; ++k) stage_.fold(batch[k], sane[k] != 0, findings[k]);
     res.flows += pr.n;
     since_epoch += pr.n;
     if (cfg_.epoch_flows > 0 && since_epoch >= cfg_.epoch_flows) {
@@ -100,7 +152,7 @@ pipeline::PipelineResult IngestDaemon::result() const {
   pipeline::PipelineResult r;
   r.flows = t.flows_seen;
   r.shards = 1;
-  r.jobs = 1;
+  r.jobs = jobs_;
   r.verdicts = t.verdicts;
   r.confusion = t.confusion;
   r.true_positives = t.tp;

@@ -1,10 +1,14 @@
 // IngestDaemon — the long-running analysis loop behind ccc_ingestd.
 //
 // The daemon is a thin driver over the shared stage API: it pulls batches
-// from any PullSource (spool / stdin / socket), pushes every flow through
-// one AnalyzeStage (§3.1 classify + bounded-memory changepoint search), and
-// optionally re-writes the stream as log-structured ccfs shards. All state
-// that grows does so per *epoch*, not per flow:
+// from any PullSource (spool / stdin / socket), runs every flow through one
+// AnalyzeStage (§3.1 classify + bounded-memory changepoint search), and
+// optionally re-writes the stream as log-structured ccfs shards. Within a
+// batch, runner workers analyze contiguous chunks of flows while the
+// calling thread appends the batch to the output store; the caller then
+// folds the findings into the stage's tallies in pull order, so every
+// output is the same at any job count. All state that grows does so per
+// *epoch*, not per flow:
 //
 //   every epoch_flows flows ->  stage.flush(epoch)   counter deltas exported
 //                               writer.rotate()      open shard sealed (CRC
@@ -13,11 +17,12 @@
 //                               epoch row emitted    rolling aggregates to
 //                                                    the report sink
 //
-// Memory bounds (DESIGN.md "Streaming ingest"): the stage keeps tallies +
-// one reused ChangepointWorkspace (findings stay off), the writer buffers
-// one open shard's scalar columns, and the sources hold one shard mapping
-// or one batch of records. Nothing scales with stream length, which is what
-// the 10x-replay RSS soak pins.
+// Memory bounds (DESIGN.md "Streaming ingest"): the stage keeps tallies
+// (findings stay off), the daemon one reused ChangepointWorkspace per chunk
+// and one batch of finding slots, the writer buffers one open shard's
+// scalar columns, and the sources hold one shard mapping or one batch of
+// records. Nothing scales with stream length, which is what the 10x-replay
+// RSS soak pins.
 #pragma once
 
 #include <chrono>
@@ -51,6 +56,10 @@ struct IngestConfig {
   std::uint64_t max_flows{0};
   /// Flows per pull.
   std::size_t batch_flows{256};
+  /// Analysis workers; 0 means "resolve from CCC_JOBS, else hardware
+  /// concurrency" (runner::resolve_jobs), capped at batch_flows. 1 analyzes
+  /// on the calling thread.
+  unsigned jobs{0};
   /// Sleep when the source reports kBlocked with nothing delivered.
   std::chrono::milliseconds idle_wait{20};
   /// Polled between batches; return true to stop (signal handlers hook in
@@ -85,10 +94,14 @@ class IngestDaemon {
   /// daemon replay and offline fig2 print through identical code.
   [[nodiscard]] pipeline::PipelineResult result() const;
 
+  /// The resolved analysis worker count.
+  [[nodiscard]] unsigned jobs() const { return jobs_; }
+
  private:
   void settle_epoch(IngestResult& res);
 
   IngestConfig cfg_;
+  unsigned jobs_;
   pipeline::AnalyzeStage stage_;
   std::unique_ptr<store::ShardedFlowStoreWriter> writer_;
   std::uint64_t epoch_{0};

@@ -62,8 +62,34 @@ PullResult RangePull::pull(std::vector<store::FlowView>& out, std::size_t max) {
 }
 
 void AnalyzeStage::push(const store::FlowView& flow) {
+  FlowFinding f;
+  const bool sane = analyze(flow, ws_, f);
+  fold(flow, sane, f);
+}
+
+bool AnalyzeStage::analyze(const store::FlowView& flow, changepoint::ChangepointWorkspace& ws,
+                           FlowFinding& finding) const {
+  if (opts_.validate_records && !record_is_sane(flow)) return false;
+  const Verdict filter = classify_filters(flow, opts_.classify);  // Classify
+  if (filter != Verdict::kNoLevelShift) {
+    finding.id = flow.id;
+    finding.verdict = filter;
+    finding.shift_times_sec.clear();
+    finding.shift_magnitudes.clear();
+    finding.truth = flow.truth;
+    finding.early_exited = false;
+    finding.samples_scanned = 0;
+  } else if (opts_.window_samples == 0) {
+    finding = detect_changepoints(flow, opts_.classify, ws);  // Changepoint
+  } else {
+    finding = detect_changepoints_streamed(flow, opts_.classify, ws, opts_.window_samples);
+  }
+  return true;
+}
+
+void AnalyzeStage::fold(const store::FlowView& flow, bool sane, FlowFinding& finding) {
   ++tallies_.flows_seen;
-  if (opts_.validate_records && !record_is_sane(flow)) {
+  if (!sane) {
     if (opts_.strict) {
       throw Error::corruption(
           "", "pipeline: corrupt record at flow index " +
@@ -73,19 +99,8 @@ void AnalyzeStage::push(const store::FlowView& flow) {
     ++tallies_.records_corrupt;
     return;
   }
-  const Verdict filter = classify_filters(flow, opts_.classify);  // Classify
-  FlowFinding f;
-  if (filter != Verdict::kNoLevelShift) {
-    f.id = flow.id;
-    f.truth = flow.truth;
-    f.verdict = filter;
-  } else if (opts_.window_samples == 0) {
-    f = detect_changepoints(flow, opts_.classify, ws_);  // Changepoint
-  } else {
-    f = detect_changepoints_streamed(flow, opts_.classify, ws_, opts_.window_samples);
-  }
-
   // Sink: tally. Plain integer adds; metrics settle at flush().
+  const FlowFinding& f = finding;
   auto& t = tallies_;
   const auto v = static_cast<std::size_t>(f.verdict);
   ++t.verdicts[v];
@@ -100,7 +115,7 @@ void AnalyzeStage::push(const store::FlowView& flow) {
   t.early_exits += static_cast<std::uint64_t>(f.early_exited);
   t.samples_scanned += f.samples_scanned;
   t.magnitudes.insert(t.magnitudes.end(), f.shift_magnitudes.begin(), f.shift_magnitudes.end());
-  if (opts_.keep_findings) t.findings.push_back(std::move(f));
+  if (opts_.keep_findings) t.findings.push_back(std::move(finding));
 }
 
 void AnalyzeStage::flush(std::uint64_t /*epoch*/) {

@@ -141,16 +141,32 @@ class PushStage {
 
 /// The shared analysis stage: validate → Classify (§3.1 filters) →
 /// Changepoint (offline or windowed per StageOptions::window_samples) →
-/// tally. Owns one ChangepointWorkspace, reused allocation-free across
-/// every flow pushed. flush() exports the tallies accrued *since the last
-/// flush* as counter increments (plus histogram observes), so one flush at
-/// stream end reproduces the old per-shard export exactly and a daemon
-/// flushing every epoch accumulates identical totals.
+/// tally. push() is analyze() then fold() on one ChangepointWorkspace the
+/// stage owns, reused allocation-free across every flow pushed. A driver
+/// that fans a batch out calls the halves itself: analyze() on workers,
+/// each with a workspace of its own, then fold() on one thread in push
+/// order, which keeps the determinism contract. flush() exports the tallies
+/// accrued *since the last flush* as counter increments (plus histogram
+/// observes), so one flush at stream end reproduces the old per-shard
+/// export exactly and a daemon flushing every epoch accumulates identical
+/// totals.
 class AnalyzeStage final : public PushStage {
  public:
   explicit AnalyzeStage(StageOptions opts) : opts_{std::move(opts)} {}
 
   void push(const store::FlowView& flow) override;
+
+  /// Validates, classifies and searches one flow into `finding`, a slot the
+  /// caller may reuse from flow to flow. Returns false, leaving `finding`
+  /// as it was, if validation rejects the record. Touches only `ws` and
+  /// `finding`, so workers may call it at once, each on its own workspace.
+  bool analyze(const store::FlowView& flow, changepoint::ChangepointWorkspace& ws,
+               FlowFinding& finding) const;
+
+  /// Tallies one analyzed flow, `sane` being what analyze() returned; under
+  /// strict, an insane record throws here. Flows must be folded in push
+  /// order. Moves `finding` out when findings are kept.
+  void fold(const store::FlowView& flow, bool sane, FlowFinding& finding);
   void flush(std::uint64_t epoch) override;
 
   [[nodiscard]] const AnalysisTallies& tallies() const { return tallies_; }

@@ -14,116 +14,74 @@
 
 namespace ccc::runner {
 
-namespace {
-
-/// The runner's worker threads and the state they share. Each thread claims
-/// the next index below a limit the caller raises, runs task(i), reports
-/// progress and fills slot i % slots. So no closure is allocated per task,
-/// nor freed on a worker: a fan-out allocates per worker, not per task.
-/// `progress`, if not null, is called as (done, slots): only run_all
-/// passes one, with a slot per task.
-class Workers {
- public:
-  Workers(const std::function<void(std::size_t)>& task, std::size_t slots, std::size_t limit,
-          unsigned count, const ProgressFn* progress)
-      : task_{task}, progress_{progress}, slots_(slots), limit_{limit} {
-    threads_.reserve(count);
-    try {
-      for (unsigned k = 0; k < count; ++k) threads_.emplace_back([this] { work(); });
-    } catch (...) {
-      stop();  // a joinable std::thread must not be destroyed
-      throw;
-    }
+Workers::Workers(const std::function<void(std::size_t)>& task, std::size_t slots,
+                 unsigned count)
+    : task_{task}, slots_(slots) {
+  threads_.reserve(count);
+  try {
+    for (unsigned k = 0; k < count; ++k) threads_.emplace_back([this] { work(); });
+  } catch (...) {
+    stop();  // a joinable std::thread must not be destroyed
+    throw;
   }
+}
 
-  /// Stops and joins the workers before the state they use is destroyed.
-  /// Runs on exception paths too.
-  ~Workers() { stop(); }
+// Stops and joins the workers before the state they use is destroyed. Runs
+// on exception paths too.
+Workers::~Workers() { stop(); }
 
-  Workers(const Workers&) = delete;
-  Workers& operator=(const Workers&) = delete;
-
-  /// Waits for task i and returns its exception, if it threw.
-  std::exception_ptr wait_for(std::size_t i) {
-    std::unique_lock lk{mu_};
-    Slot& slot = slots_[i % slots_.size()];
-    ready_.wait(lk, [&] { return slot.done; });
-    slot.done = false;
-    return std::move(slot.error);
+void Workers::raise_limit(std::size_t limit) {
+  std::size_t raised = 0;
+  {
+    std::lock_guard lk{mu_};
+    if (limit <= limit_) return;
+    raised = limit - limit_;
+    limit_ = limit;
   }
+  // Each notify_one wakes a different waiter, so k calls start k tasks at
+  // once; a worker that is busy now claims more when it finishes.
+  for (std::size_t k = std::min(raised, threads_.size()); k > 0; --k) claimable_.notify_one();
+}
 
-  /// Lets workers claim every index below `limit`.
-  void raise_limit(std::size_t limit) {
+std::exception_ptr Workers::wait_for(std::size_t i) {
+  std::unique_lock lk{mu_};
+  Slot& slot = slots_[i % slots_.size()];
+  ready_.wait(lk, [&] { return slot.done; });
+  slot.done = false;
+  return std::move(slot.error);
+}
+
+void Workers::stop() {
+  {
+    std::lock_guard lk{mu_};
+    stop_ = true;
+  }
+  claimable_.notify_all();
+  for (auto& t : threads_) t.join();
+}
+
+void Workers::work() {
+  for (;;) {
+    std::size_t i = 0;
     {
-      std::lock_guard lk{mu_};
-      limit_ = limit;
+      std::unique_lock lk{mu_};
+      claimable_.wait(lk, [this] { return stop_ || next_ < limit_; });
+      if (stop_) return;
+      i = next_++;
     }
-    claimable_.notify_one();
-  }
-
- private:
-  struct Slot {
-    bool done{false};
     std::exception_ptr error;
-  };
-
-  void stop() {
+    try {
+      task_(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard lk{mu_};
-      stop_ = true;
+      slots_[i % slots_.size()] = {true, std::move(error)};
     }
-    claimable_.notify_all();
-    for (auto& t : threads_) t.join();
+    ready_.notify_one();  // only the caller waits on ready_
   }
-
-  void work() {
-    for (;;) {
-      std::size_t i = 0;
-      {
-        std::unique_lock lk{mu_};
-        claimable_.wait(lk, [this] { return stop_ || next_ < limit_; });
-        if (stop_) return;
-        i = next_++;
-      }
-      std::exception_ptr error;
-      try {
-        task_(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      if (progress_ != nullptr) {
-        // Under its own lock, so callbacks never interleave and never hold
-        // up a claim. A callback that throws fails its task.
-        std::lock_guard lk{progress_mu_};
-        try {
-          (*progress_)(++done_, slots_.size());
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-      }
-      {
-        std::lock_guard lk{mu_};
-        slots_[i % slots_.size()] = {true, std::move(error)};
-      }
-      ready_.notify_one();
-    }
-  }
-
-  const std::function<void(std::size_t)>& task_;
-  const ProgressFn* progress_;
-  std::mutex progress_mu_;  // guards done_ and serializes progress_
-  std::size_t done_{0};
-  std::mutex mu_;  // guards everything below but threads_
-  std::condition_variable claimable_;  // next_ < limit_, or stop_
-  std::condition_variable ready_;      // a slot was filled
-  std::vector<Slot> slots_;
-  std::size_t next_{0};
-  std::size_t limit_;
-  bool stop_{false};
-  std::vector<std::thread> threads_;
-};
-
-}  // namespace
+}
 
 unsigned parse_job_count(const char* s) {
   if (s == nullptr || *s == '\0') return 0;
@@ -156,19 +114,44 @@ ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : jobs_{resolve_jobs(opts.jobs)}, on_progress_{std::move(opts.on_progress)} {}
 
 void ExperimentRunner::run_all(std::size_t n, const std::function<void(std::size_t)>& task) {
+  // With a progress callback, each task reports on the thread that ran it,
+  // one report at a time; a callback that throws fails its task.
+  std::mutex progress_mu;
+  std::size_t done = 0;
+  std::function<void(std::size_t)> reported;
+  if (on_progress_) {
+    reported = [&](std::size_t i) {
+      std::exception_ptr error;
+      try {
+        task(i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      {
+        std::lock_guard lk{progress_mu};
+        try {
+          on_progress_(++done, n);
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
+      }
+      if (error) std::rethrow_exception(error);
+    };
+  }
+  const auto& run = on_progress_ ? reported : task;
+
   std::exception_ptr first;  // the lowest-indexed failure wins deterministically
   if (jobs_ <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        task(i);
+        run(i);
       } catch (...) {
         if (!first) first = std::current_exception();
       }
-      if (on_progress_) on_progress_(i + 1, n);
     }
   } else {
-    Workers w{task, n, n, static_cast<unsigned>(std::min<std::size_t>(jobs_, n)),
-              on_progress_ ? &on_progress_ : nullptr};
+    Workers w{run, n, static_cast<unsigned>(std::min<std::size_t>(jobs_, n))};
+    w.raise_limit(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (auto error = w.wait_for(i); error && !first) first = std::move(error);
     }
@@ -188,8 +171,8 @@ void ExperimentRunner::run_ordered(std::size_t n, std::size_t window,
     return;
   }
 
-  Workers w{produce, window, std::min(n, window),
-            static_cast<unsigned>(std::min<std::size_t>(jobs_, window)), nullptr};
+  Workers w{produce, window, static_cast<unsigned>(std::min<std::size_t>(jobs_, window))};
+  w.raise_limit(std::min(n, window));
   for (std::size_t i = 0; i < n; ++i) {
     if (auto error = w.wait_for(i)) std::rethrow_exception(error);
     consume(i);

@@ -14,9 +14,13 @@
 //   3. std::thread::hardware_concurrency()
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 namespace ccc::runner {
@@ -45,6 +49,49 @@ struct RunnerOptions {
 /// streams that do not depend on the job count or completion order.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index);
 
+/// The runner's one fan-out engine: `count` std::threads, owned by the
+/// object, that each claim the next task index below a limit the caller
+/// raises, run task(i) and mark slot i % slots done. The caller starts the
+/// workers, raises the limit, then collects each index with wait_for(i), in
+/// any order; it must collect index i before raising the limit past
+/// i + slots. Nothing is allocated per task. The destructor stops the
+/// workers: an index not yet claimed never runs, one already claimed runs
+/// to the end before the threads are joined. `task` must outlive the object.
+class Workers {
+ public:
+  Workers(const std::function<void(std::size_t)>& task, std::size_t slots, unsigned count);
+  ~Workers();
+
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  /// Lets the workers claim every index below `limit` (never lowered). A
+  /// raise by k wakes up to k idle workers.
+  void raise_limit(std::size_t limit);
+
+  /// Waits for task i and returns its exception, if it threw.
+  [[nodiscard]] std::exception_ptr wait_for(std::size_t i);
+
+ private:
+  struct Slot {
+    bool done{false};
+    std::exception_ptr error;
+  };
+
+  void stop();
+  void work();
+
+  const std::function<void(std::size_t)>& task_;
+  std::mutex mu_;  // guards everything below but threads_
+  std::condition_variable claimable_;  // next_ < limit_, or stop_
+  std::condition_variable ready_;      // a slot was filled
+  std::vector<Slot> slots_;
+  std::size_t next_{0};
+  std::size_t limit_{0};
+  bool stop_{false};
+  std::vector<std::thread> threads_;
+};
+
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunnerOptions opts = {});
@@ -60,7 +107,8 @@ class ExperimentRunner {
   /// (std::exception_ptr), so a typed ccc::Error from a worker — category,
   /// path, byte offset intact — crosses the thread boundary and reaches the
   /// bench's guarded_main. on_progress runs on the worker that finished
-  /// the task (inline on the caller when jobs() == 1).
+  /// the task (inline on the caller when jobs() == 1); a callback that
+  /// throws fails its task.
   void run_all(std::size_t n, const std::function<void(std::size_t)>& task);
 
   /// Runs `produce(i)` for every i in [0, n) on the workers, at most

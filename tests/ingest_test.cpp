@@ -9,7 +9,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "ingest/daemon.hpp"
 #include "ingest/report.hpp"
@@ -73,6 +76,18 @@ std::vector<std::uint64_t> drain_ids(pipeline::PullSource& src, std::size_t limi
     if (ids.size() >= limit) return ids;
     if (pr.state != pipeline::StreamState::kReady) return ids;
   }
+}
+
+/// Collects the daemon's rolling aggregate rows.
+struct CaptureSink final : telemetry::Sink {
+  void meta(const std::string&, std::uint64_t) override {}
+  void row(const telemetry::ReportRow& r) override { rows.push_back(r); }
+  std::vector<telemetry::ReportRow> rows;
+};
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
 }
 
 // ---------- daemon vs offline pipeline ----------
@@ -406,12 +421,7 @@ TEST(IngestDaemon, EpochCadenceRotatesExactOutputShards) {
   TempDir out_dir{"ingest_epoch_out"};
   write_spool(in_dir, dataset, 1u << 20);
 
-  /// Collects the daemon's rolling aggregate rows.
-  struct CaptureSink final : telemetry::Sink {
-    void meta(const std::string&, std::uint64_t) override {}
-    void row(const telemetry::ReportRow& r) override { rows.push_back(r); }
-    std::vector<telemetry::ReportRow> rows;
-  } sink;
+  CaptureSink sink;
 
   SpoolSource spool{in_dir.str()};
   IngestConfig cfg;
@@ -460,6 +470,115 @@ TEST(IngestDaemon, MaxFlowsStopsAReplayStream) {
   EXPECT_EQ(res.flows, 1000u);
   EXPECT_FALSE(res.source_ended);
   EXPECT_EQ(daemon.result().flows, 1000u);
+}
+
+// ---------- analysis workers ----------
+
+// Workers analyze a batch's chunks while the caller writes it; the caller
+// folds in pull order, so no output depends on the job count. Epochs are
+// misaligned with the input and output shards, and the pulls that epoch
+// ends clamp (to 2 flows in the first case, 3 in the second) are smaller
+// than the job count.
+TEST(IngestDaemon, JobCountMovesNoOutput) {
+  const auto dataset = make_dataset(2000);
+  TempDir in_dir{"ingest_jobs_in"};
+  write_spool(in_dir, dataset, 512);
+
+  struct Case {
+    std::uint64_t epoch_flows;
+    std::size_t batch_flows;
+    std::uint64_t out_shard_flows;
+  };
+  for (const Case c : {Case{258, 256, 300}, Case{703, 5, 512}}) {
+    struct Run {
+      pipeline::AnalysisTallies tallies;
+      std::string table;
+      std::vector<telemetry::ReportRow> rows;
+      std::vector<std::string> shard_bytes;
+      unsigned jobs;
+    };
+    const auto run = [&](unsigned jobs) {
+      TempDir out_dir{"ingest_jobs_out"};
+      CaptureSink sink;
+      SpoolSource spool{in_dir.str()};
+      IngestConfig cfg;
+      cfg.jobs = jobs;
+      cfg.epoch_flows = c.epoch_flows;
+      cfg.batch_flows = c.batch_flows;
+      cfg.out_store = (out_dir.path() / "rewrite.ccfs").string();
+      cfg.out_shard_flows = c.out_shard_flows;
+      cfg.epoch_sink = &sink;
+      IngestDaemon daemon{cfg};
+      const auto res = daemon.run(spool);
+      Run r{daemon.stage().tallies(), "", std::move(sink.rows), {}, daemon.result().jobs};
+      std::ostringstream table;
+      print_passive_aggregates(table, daemon.result());
+      r.table = table.str();
+      for (const auto& shard : res.out_shards) r.shard_bytes.push_back(file_bytes(shard));
+      return r;
+    };
+    const Run serial = run(1);
+    const Run parallel = run(4);
+    SCOPED_TRACE("epoch_flows " + std::to_string(c.epoch_flows) + ", batch_flows " +
+                 std::to_string(c.batch_flows));
+    EXPECT_EQ(serial.jobs, 1u);
+    EXPECT_EQ(parallel.jobs, 4u);
+    const auto& a = serial.tallies;
+    const auto& b = parallel.tallies;
+    EXPECT_EQ(a.flows_seen, dataset.size());
+    EXPECT_EQ(b.flows_seen, a.flows_seen);
+    EXPECT_EQ(b.verdicts, a.verdicts);
+    EXPECT_EQ(b.confusion, a.confusion);
+    EXPECT_EQ(std::tie(b.tp, b.fp, b.fn, b.tn), std::tie(a.tp, a.fp, a.fn, a.tn));
+    EXPECT_EQ(b.changepoints, a.changepoints);
+    EXPECT_EQ(b.early_exits, a.early_exits);
+    EXPECT_EQ(b.samples_scanned, a.samples_scanned);
+    EXPECT_EQ(b.records_corrupt, a.records_corrupt);
+    EXPECT_EQ(b.magnitudes, a.magnitudes);  // push order, bit for bit
+    EXPECT_EQ(parallel.table, serial.table);
+    ASSERT_EQ(parallel.rows.size(), serial.rows.size());
+    ASSERT_FALSE(serial.rows.empty());
+    for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+      EXPECT_EQ(parallel.rows[i].scope, serial.rows[i].scope);
+      EXPECT_EQ(parallel.rows[i].name, serial.rows[i].name);
+      EXPECT_EQ(parallel.rows[i].kind, serial.rows[i].kind);
+      EXPECT_EQ(parallel.rows[i].t_sec, serial.rows[i].t_sec);
+      EXPECT_EQ(parallel.rows[i].value, serial.rows[i].value);
+    }
+    ASSERT_GT(serial.shard_bytes.size(), 1u);
+    EXPECT_EQ(parallel.shard_bytes, serial.shard_bytes);
+  }
+}
+
+// Under strict, the first corrupt record in pull order fails the run with
+// the same error at any job count, though workers analyze past it.
+TEST(IngestDaemon, StrictErrorIsTheSameAtAnyJobCount) {
+  auto dataset = make_dataset(1000);
+  dataset[300].truth = static_cast<mlab::FlowArchetype>(200);
+  dataset[450].mean_throughput_mbps = std::numeric_limits<double>::quiet_NaN();
+  const pipeline::MemorySource msrc{dataset};
+
+  const auto error_at = [&](unsigned jobs) {
+    pipeline::RangePull src{msrc, 0, dataset.size(), 0};
+    IngestConfig cfg;
+    cfg.jobs = jobs;
+    cfg.stage.strict = true;
+    IngestDaemon daemon{cfg};
+    try {
+      (void)daemon.run(src);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kCorruption);
+      EXPECT_EQ(daemon.stage().tallies().flows_seen, 301u);
+      return std::string{e.what()};
+    }
+    ADD_FAILURE() << "strict daemon accepted a corrupt record at " << jobs << " jobs";
+    return std::string{};
+  };
+  const std::string serial = error_at(1);
+  EXPECT_NE(serial.find("flow index 300 (id " + std::to_string(dataset[300].id) + ")"),
+            std::string::npos)
+      << serial;
+  EXPECT_EQ(error_at(4), serial);
 }
 
 // ---------- adaptive early exit ----------

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -231,6 +233,40 @@ TEST(ExperimentRunner, RunOrderedRethrowsTheFirstFailureInIndexOrder) {
     }
     EXPECT_LE(highest.load(), 5 + kWindow - 1) << "jobs=" << jobs;
     EXPECT_EQ(running.load(), 0) << "jobs=" << jobs;
+  }
+}
+
+// Raising the claim limit by k must wake k idle workers, not one: each
+// round's k tasks meet at a barrier that only opens once all k run at once.
+// A worker left asleep holds the barrier until its timeout, so the test
+// fails instead of hanging.
+TEST(Workers, RaisingTheLimitByKRunsKTasksAtOnce) {
+  constexpr unsigned kWorkers = 4;
+  const std::vector<std::size_t> round_ends{4, 6, 9};  // rounds of 4, 2 and 3 tasks
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  bool timed_out = false;
+  const std::function<void(std::size_t)> meet = [&](std::size_t i) {
+    const std::size_t end = *std::upper_bound(round_ends.begin(), round_ends.end(), i);
+    std::unique_lock lk{mu};
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lk, std::chrono::seconds{5}, [&] { return timed_out || arrived >= end; })) {
+      timed_out = true;
+      cv.notify_all();
+    }
+  };
+  Workers workers{meet, kWorkers, kWorkers};
+  std::size_t begin = 0;
+  for (const std::size_t end : round_ends) {
+    // Let every worker go idle, so only the raise can start the round.
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+    workers.raise_limit(end);
+    for (std::size_t i = begin; i < end; ++i) EXPECT_EQ(workers.wait_for(i), nullptr);
+    std::lock_guard lk{mu};
+    EXPECT_FALSE(timed_out) << "round ending at task " << end;
+    begin = end;
   }
 }
 
