@@ -211,14 +211,16 @@ void report_write_rate(std::size_t repeat, std::ostream& os, telemetry::RunRepor
   fs::remove(path, ec);
 }
 
-/// CRC-32 throughput of store::Crc32::update, the one implementation the
-/// writer, both reader paths and the sweep journal share. The buffer is the
-/// size of a passive_ingest round's store (~27 MB), hashed in the writer's
-/// 64 KiB pieces so the number is the per-byte cost those paths pay.
+/// CRC-32 throughput of store::Crc32::update, which the writer, both reader
+/// paths and the sweep journal share: the carry-less-multiply kernel on a
+/// CPU with PCLMULQDQ and SSE4.1, the slicing-by-16 table loop elsewhere.
+/// The buffer is the size of a passive_ingest round's store (~27 MB), hashed
+/// in the writer's 64 KiB pieces so the number is the per-byte cost those
+/// paths pay.
 void report_crc_rate(std::size_t repeat, std::ostream& os, telemetry::RunReport& report) {
   constexpr std::size_t kBytes = std::size_t{27} << 20;
   constexpr std::size_t kPiece = std::size_t{64} << 10;
-  std::vector<std::uint8_t> buf(kBytes);  // table CRCs cost the same for any data
+  std::vector<std::uint8_t> buf(kBytes);  // either kernel costs the same for any data
   for (std::size_t i = 0; i < kBytes; ++i) {
     buf[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
   }

@@ -8,7 +8,9 @@
 #          determinism pin, the synthetic generator's block workers:
 #          test_mlab's job-count identity and sink-exception tests, and the
 #          ingest daemon's analysis workers: test_ingest's jobs-1-vs-jobs-4
-#          and strict-error pins)
+#          and strict-error pins, and the CRC's one-time choice between its
+#          carry-less and table kernels: test_store's
+#          Crc32.ConcurrentCallersAgree)
 #
 #   asan   -DCCC_SANITIZE=address,undefined
 #          ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|transport|queue"

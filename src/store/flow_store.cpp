@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
@@ -18,62 +17,25 @@
 
 namespace ccc::store {
 
-// ---------------------------------------------------------------- crc32
-
 namespace {
-
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
-
-// Slicing-by-16: table 0 is the classic byte-at-a-time table; table k maps a
-// byte to its CRC contribution when k zero bytes follow it, so sixteen
-// independent lookups fold one 16-byte block into the state.
-constexpr CrcTables make_crc_tables() {
-  CrcTables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
-  }
-  for (std::size_t k = 1; k < t.size(); ++k) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    }
-  }
-  return t;
-}
-
-constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::atomic<std::uint64_t> g_finish_errors_suppressed{0};
 
-}  // namespace
-
-void Crc32::update(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto& t = kCrcTables;
-  std::uint32_t c = state_;
-  for (; len >= 16; p += 16, len -= 16) {
-    // memcpy, not a cast: the input has no alignment guarantee. The word
-    // order relies on the little-endian host format.hpp asserts.
-    std::uint32_t w[4];
-    std::memcpy(w, p, sizeof w);
-    w[0] ^= c;
-    c = t[15][w[0] & 0xFFu] ^ t[14][(w[0] >> 8) & 0xFFu] ^ t[13][(w[0] >> 16) & 0xFFu] ^
-        t[12][w[0] >> 24] ^ t[11][w[1] & 0xFFu] ^ t[10][(w[1] >> 8) & 0xFFu] ^
-        t[9][(w[1] >> 16) & 0xFFu] ^ t[8][w[1] >> 24] ^ t[7][w[2] & 0xFFu] ^
-        t[6][(w[2] >> 8) & 0xFFu] ^ t[5][(w[2] >> 16) & 0xFFu] ^ t[4][w[2] >> 24] ^
-        t[3][w[3] & 0xFFu] ^ t[2][(w[3] >> 8) & 0xFFu] ^ t[1][(w[3] >> 16) & 0xFFu] ^
-        t[0][w[3] >> 24];
+// Both reader paths run this whatever verify_crc says: series(i) is a
+// subspan (mapped) or a pread (windowed) sized by offset differences, so a
+// damaged offsets column must fail at open, not as a read outside the pool.
+// Endpoints plus monotonicity bound every interior offset by sample_count.
+void check_ts_offsets(const std::string& path, std::span<const std::uint64_t> off,
+                      std::uint64_t sample_count) {
+  if (off.front() != 0 || off.back() != sample_count) {
+    throw Error::corruption(path, "ccfs: ts_offsets endpoints inconsistent");
   }
-  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  state_ = c;
+  for (std::size_t i = 0; i + 1 < off.size(); ++i) {
+    if (off[i] > off[i + 1]) throw Error::corruption(path, "ccfs: ts_offsets not monotone");
+  }
 }
 
-std::uint32_t crc32(const void* data, std::size_t len) {
-  Crc32 c;
-  c.update(data, len);
-  return c.value();
-}
+}  // namespace
 
 std::uint64_t finish_errors_suppressed() noexcept {
   return g_finish_errors_suppressed.load(std::memory_order_relaxed);
@@ -501,16 +463,7 @@ void FlowStoreReader::open_and_validate(const std::string& path, const ReaderOpt
           section(SectionId::kTsOffsets, (n + 1) * sizeof(std::uint64_t))),
       n + 1};
 
-  if (ts_offsets_.front() != 0 || ts_offsets_.back() != sample_count_) {
-    throw Error::corruption(path, "ccfs: ts_offsets endpoints inconsistent");
-  }
-  if (opts.verify_crc) {
-    for (std::size_t i = 0; i + 1 < ts_offsets_.size(); ++i) {
-      if (ts_offsets_[i] > ts_offsets_[i + 1]) {
-        throw Error::corruption(path, "ccfs: ts_offsets not monotone");
-      }
-    }
-  }
+  check_ts_offsets(path, ts_offsets_, sample_count_);
 }
 
 void FlowStoreReader::open_windowed(faultfs::File file, const ReaderOptions& opts) {
@@ -623,17 +576,7 @@ void FlowStoreReader::open_windowed(faultfs::File file, const ReaderOptions& opt
           section(SectionId::kTsOffsets, (n + 1) * sizeof(std::uint64_t))),
       n + 1};
 
-  if (ts_offsets_.front() != 0 || ts_offsets_.back() != sample_count_) {
-    throw Error::corruption(path, "ccfs: ts_offsets endpoints inconsistent");
-  }
-  // Monotonicity is checked unconditionally here (the mapped path gates it
-  // on verify_crc): window fetch sizes are computed from offset differences,
-  // so a non-monotone pair must fail at open, not as a wild pread later.
-  for (std::size_t i = 0; i + 1 < ts_offsets_.size(); ++i) {
-    if (ts_offsets_[i] > ts_offsets_[i + 1]) {
-      throw Error::corruption(path, "ccfs: ts_offsets not monotone");
-    }
-  }
+  check_ts_offsets(path, ts_offsets_, sample_count_);
 }
 
 std::span<const double> FlowStoreReader::windowed_series(std::size_t i) const {

@@ -209,7 +209,10 @@ class ShardedFlowStoreWriter {
 
 /// Open-time knobs for FlowStoreReader beyond the ctor's CRC flag.
 struct ReaderOptions {
-  /// Verify the footer CRC at open (the corruption gate).
+  /// Verify the footer CRC at open (the corruption gate). Off, the reader
+  /// still checks the structure series() relies on (section bounds,
+  /// ts_offsets endpoints and monotonicity), so damage there stays a typed
+  /// error rather than a read outside the file.
   bool verify_crc{true};
   /// Tell the kernel the file will be scanned front to back
   /// (posix_fadvise/madvise SEQUENTIAL), which widens its readahead window.
@@ -238,9 +241,9 @@ struct ReaderOptions {
 
 /// Read-only, zero-copy view of one ccfs file. The whole file is mapped
 /// (falling back to a heap read when mmap is unavailable) and validated:
-/// magics, version, directory shape, section bounds, and — unless the
-/// caller opts out — the footer CRC and ts_offsets monotonicity. Safe for
-/// concurrent reads from any number of threads.
+/// magics, version, directory shape, section bounds, ts_offsets endpoints
+/// and monotonicity, and — unless the caller opts out — the footer CRC.
+/// Safe for concurrent reads from any number of threads.
 class FlowStoreReader {
  public:
   /// Throws ccc::Error on any failure: kIo when the OS refuses the file,

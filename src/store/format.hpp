@@ -99,12 +99,16 @@ static_assert(sizeof(Footer) == 32);
 
 /// Incremental CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, initial
 /// and final XOR 0xFFFFFFFF) — the CRC zlib computes, implemented here so the
-/// store has no deps. update() is table-driven slicing-by-16: it folds 16
-/// bytes per step with 16 table lookups (unaligned input read via memcpy)
-/// and finishes the tail a byte at a time. It yields the same value as the
-/// classic byte-at-a-time loop for every input and every split of it across
-/// update() calls, so existing .ccfs files and .ccj journals still verify.
-/// The writer, both reader paths and the sweep journal all share it.
+/// store has no deps. update() hands every run of 64 bytes or more, rounded
+/// down to a multiple of 16, to a carry-less-multiply kernel (PCLMULQDQ
+/// folding of four 128-bit lanes, then a Barrett reduction) when the CPU has
+/// PCLMULQDQ and SSE4.1, checked once per process. Slicing-by-16 (16 table
+/// lookups per 16 bytes, unaligned input read via memcpy, then a byte at a
+/// time) takes the tail, and everything on other CPUs. Both kernels carry
+/// the same register, so update() yields the classic byte-at-a-time value
+/// for every input and every split of it across calls: existing .ccfs files
+/// and .ccj journals still verify. The writer, both reader paths and the
+/// sweep journal all share it. The kernels are in store/crc32_detail.hpp.
 class Crc32 {
  public:
   void update(const void* data, std::size_t len);

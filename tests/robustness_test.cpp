@@ -224,6 +224,49 @@ TEST(CorruptionMatrix, VerifyCrcOffStillRejectsStructuralDamage) {
   EXPECT_THROW((store::FlowStoreReader{golden.str(), /*verify_crc=*/false}), Error);
 }
 
+/// Writes `dataset` to `path` with ts_offsets[1] raised past ts_offsets[2]:
+/// the endpoints still match the footer, so only the monotone check sees it.
+void write_with_non_monotone_offsets(const std::string& path,
+                                     const std::vector<mlab::NdtRecord>& dataset) {
+  store::write_store(path, dataset);
+  auto bytes = read_file(path);
+  store::Footer footer{};
+  std::memcpy(&footer, bytes.data() + bytes.size() - sizeof footer, sizeof footer);
+  std::vector<store::DirectoryEntry> dir(store::kSectionCount);
+  std::memcpy(dir.data(), bytes.data() + footer.directory_offset + sizeof(std::uint32_t),
+              store::kSectionCount * sizeof(store::DirectoryEntry));
+  const auto& offsets = dir[static_cast<std::size_t>(store::SectionId::kTsOffsets)];
+  ASSERT_EQ(offsets.id, static_cast<std::uint32_t>(store::SectionId::kTsOffsets));
+  ASSERT_GE(offsets.bytes, 4 * sizeof(std::uint64_t));
+  // Past the pool's end: a reader that trusted it would map past the pool.
+  const std::uint64_t wild = footer.sample_count + 1000;
+  std::memcpy(bytes.data() + offsets.offset + sizeof(std::uint64_t), &wild, sizeof wild);
+  write_file(path, bytes);
+}
+
+TEST(CorruptionMatrix, VerifyCrcOffStillRejectsNonMonotoneOffsetsMapped) {
+  TempPath p{"robust_nocrc_offsets_mapped.ccfs"};
+  write_with_non_monotone_offsets(p.str(), make_dataset(16));
+  try {
+    store::FlowStoreReader r{p.str(), store::ReaderOptions{.verify_crc = false}};
+    FAIL() << "mapped reader accepted non-monotone ts_offsets";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kCorruption) << e.what();
+  }
+}
+
+TEST(CorruptionMatrix, VerifyCrcOffStillRejectsNonMonotoneOffsetsWindowed) {
+  TempPath p{"robust_nocrc_offsets_windowed.ccfs"};
+  write_with_non_monotone_offsets(p.str(), make_dataset(16));
+  try {
+    store::FlowStoreReader r{p.str(),
+                             store::ReaderOptions{.verify_crc = false, .readahead_flows = 4}};
+    FAIL() << "windowed reader accepted non-monotone ts_offsets";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kCorruption) << e.what();
+  }
+}
+
 // --------------------------------------------------- degrade vs strict policy
 
 TEST(ShardSet, DegradeSkipsCorruptShardAndCounts) {

@@ -8,12 +8,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "mlab/synthetic.hpp"
 #include "store/convert.hpp"
+#include "store/crc32_detail.hpp"
 #include "store/flow_store.hpp"
 #include "store/format.hpp"
 #include "util/error.hpp"
@@ -54,7 +57,8 @@ std::vector<mlab::NdtRecord> make_dataset(std::size_t n, std::uint64_t seed = 42
 
 // ---------------------------------------------------------------- crc32
 //
-// Differential tests: the sliced production CRC against a bit-at-a-time
+// Differential tests: the production CRC (the carry-less kernel where the
+// CPU has it, slicing-by-16 elsewhere and for tails) against a bit-at-a-time
 // oracle that lives only here. Equal values are also what keeps every
 // existing .ccfs file and .ccj journal loadable.
 
@@ -121,6 +125,114 @@ TEST(Crc32, BufferLargerThanTheStreamingChunkMatchesTheOracle) {
   crc.update(bytes.data() + kChunk, bytes.size() - kChunk);
   EXPECT_EQ(crc.value(), want);
 }
+
+TEST(Crc32, ConcurrentCallersAgree) {
+  // The first update() long enough for the carry-less kernel makes the
+  // once-per-process CPU check; four threads reach it together here (run
+  // alone, as ctest runs each case, nothing has made it before). Under TSan
+  // this is the race the threaded readers, the ingest writer and the sweep
+  // journal would have.
+  std::vector<std::vector<std::uint8_t>> bufs;
+  std::vector<std::uint32_t> want;
+  for (const std::size_t n : {5u, 63u, 64u, 1000u, 65'537u}) {
+    bufs.push_back(random_bytes(n, n));
+    want.push_back(reference_crc32(bufs.back().data(), n));
+  }
+  constexpr int kThreads = 4;
+  std::latch start{kThreads};
+  std::vector<std::vector<std::uint32_t>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 20; ++round) {
+        for (const auto& b : bufs) got[t].push_back(crc32(b.data(), b.size()));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), 20 * bufs.size());
+    for (std::size_t i = 0; i < got[t].size(); ++i) {
+      ASSERT_EQ(got[t][i], want[i % bufs.size()]) << "thread " << t << " call " << i;
+    }
+  }
+}
+
+// The two kernels behind update(), each checked on its own whichever one
+// this CPU would pick. kernel_step runs the named kernel the way update()
+// runs it: the carry-less one takes the 16-byte-multiple bulk of a run of
+// kClmulMinBytes or more, and the table kernel the tail (and everything
+// else); under kTable the table kernel takes it all.
+enum class Kernel { kTable, kClmul };
+
+std::uint32_t kernel_step(Kernel k, std::uint32_t state, const std::uint8_t* p,
+                          std::size_t len) {
+  if (k == Kernel::kClmul && len >= detail::kClmulMinBytes) {
+    const std::size_t bulk = len & ~std::size_t{15};
+    state = detail::crc32_clmul(state, p, bulk);
+    p += bulk;
+    len -= bulk;
+  }
+  return detail::crc32_table(state, p, len);
+}
+
+std::uint32_t kernel_crc(Kernel k, const std::uint8_t* p, std::size_t len) {
+  return ~kernel_step(k, 0xFFFF'FFFFu, p, len);
+}
+
+class Crc32Kernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kClmul && !detail::clmul_supported()) {
+      GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1; update() uses the table kernel";
+    }
+  }
+};
+
+TEST_P(Crc32Kernel, EveryLengthAtEveryAlignmentMatchesTheOracle) {
+  const auto bytes = random_bytes(300 + 16, 7);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = bytes.data() + align;
+      ASSERT_EQ(kernel_crc(GetParam(), p, len), reference_crc32(p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST_P(Crc32Kernel, LengthsAroundAPageAndTheWriteBufferMatchTheOracle) {
+  const auto bytes = random_bytes(65'537 + 16, 8);
+  for (const std::size_t len : {4095u, 4096u, 4097u, 65'535u, 65'536u, 65'537u}) {
+    for (const std::size_t align : {0u, 3u, 8u}) {
+      const std::uint8_t* p = bytes.data() + align;
+      ASSERT_EQ(kernel_crc(GetParam(), p, len), reference_crc32(p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST_P(Crc32Kernel, SplitsStraddlingTheClmulThresholdMatchTheOracle) {
+  const auto bytes = random_bytes(20'000, 9);
+  const std::uint32_t want = reference_crc32(bytes.data(), bytes.size());
+  std::mt19937_64 gen{10};
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t state = 0xFFFF'FFFFu;
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const std::size_t len = std::min<std::size_t>(
+          detail::kClmulMinBytes - 17 + gen() % 50, bytes.size() - off);
+      state = kernel_step(GetParam(), state, bytes.data() + off, len);
+      off += len;
+    }
+    ASSERT_EQ(~state, want) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32Kernel, ::testing::Values(Kernel::kTable, Kernel::kClmul),
+                         [](const ::testing::TestParamInfo<Kernel>& info) {
+                           return info.param == Kernel::kTable ? "table" : "clmul";
+                         });
 
 TEST(FlowStore, RoundTripIsBitExact) {
   const auto dataset = make_dataset(300);
